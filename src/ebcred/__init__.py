@@ -31,11 +31,13 @@ from .function_space import (
     uniform_grid,
 )
 from .samplers import (
+    HeadTailSplit,
     ProposalExhausted,
     RngSeed,
     draw_gaussian_sequence,
     draw_lawmu,
     draw_posterior,
+    head_tail_split,
     lawmu_scales,
     make_rng,
     recentered_radii,

@@ -30,7 +30,7 @@ from .experiments import (
     rate_experiment,
     simulate_data,
 )
-from .samplers import ProposalExhausted, make_rng
+from .samplers import ProposalExhausted, head_tail_split, make_rng
 from .sequence_model import (
     ObservationSequence,
     PriorFamily,
@@ -456,6 +456,7 @@ def _cmd_radius(cfg: dict):
     obs = ObservationSequence(np.zeros(i_max), cfg["n"])
     post = posterior_spec(obs, spectrum, family)
     est = radius_precise(post, cfg["gamma"], cfg["m"], make_rng(cfg["seed"]))
+    split = head_tail_split(post.var, cfg["m"])
     payload = {
         "value": est.value,
         "std_error": est.std_error,
@@ -466,6 +467,8 @@ def _cmd_radius(cfg: dict):
         "i_max": i_max,
         "variant": cfg["variant"],
         "tail_bound": truncation_tail_bound(family, cfg["spectrum"], cfg["n"], i_max),
+        "head_size": split.head_size,
+        "tail_sd": split.tail_sd,
     }
     path = _outdir(cfg) / "radius.json"
     _write_json(path, payload)

@@ -2,8 +2,9 @@
 
 Nothing here reuses the package's posterior algebra: moments come from
 importance sampling, marginal densities from adaptive quadrature, inner
-products from composite Simpson rules, and radius quantiles from a normal
-approximation to the squared norm. Slow and simple on purpose.
+products from composite Simpson rules, radius quantiles from a normal
+approximation to the squared norm, and recentred radii from full draws of
+every coordinate in float64. Slow and simple on purpose.
 """
 
 import numpy as np
@@ -73,6 +74,30 @@ def radius_quantile_normal_approx(variances, gamma):
     sd = float(np.sqrt(2.0 * np.sum(variances**2)))
     z = float(stats.norm.ppf(1.0 - gamma))
     return float(np.sqrt(mean + z * sd))
+
+
+def full_draw_radii(variances, head, m, head_rng, tail_rng, chunk=500):
+    """Norms of m draws from the centred law N(0, diag(variances)), all coordinates drawn.
+
+    Squared norms sum var_i * z_i**2 over every coordinate in float64. The
+    coordinates listed in `head` take float32 normals from head_rng, drawn
+    row by row over the head in the order listed, as the package's radii
+    engine draws them, so both see identical normals there; every other
+    coordinate takes fresh float64 normals from tail_rng.
+    """
+    variances = np.asarray(variances, dtype=np.float64)
+    head = np.asarray(head)
+    tail = np.setdiff1d(np.arange(variances.size), head)
+    sq = []
+    for start in range(0, m, chunk):
+        b = min(chunk, m - start)
+        z_head = head_rng.standard_normal((b, head.size), dtype=np.float32)
+        z_tail = tail_rng.standard_normal((b, tail.size))
+        sq.append(
+            np.sum(variances[head] * z_head.astype(np.float64) ** 2, axis=1)
+            + np.sum(variances[tail] * z_tail**2, axis=1)
+        )
+    return np.sqrt(np.concatenate(sq))
 
 
 def lawmu_squared_scale_bound(limit=10**7):
