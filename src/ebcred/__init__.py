@@ -53,8 +53,10 @@ from .sequence_model import (
     adequate_i_max,
     eb_fit,
     identity_spectrum,
+    make_spectrum,
     marginal_log_likelihood,
     posterior_spec,
+    posterior_variances,
     prior_variance,
     truncation_tail_bound,
     volterra_spectrum,

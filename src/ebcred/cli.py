@@ -22,6 +22,8 @@ import numpy as np
 from . import __version__
 from .credible_set import radius_precise
 from .experiments import (
+    CURVE_LAWS,
+    TRUTHS,
     ExperimentConfig,
     coverage_experiment,
     export_curves,
@@ -32,17 +34,23 @@ from .experiments import (
 )
 from .samplers import ProposalExhausted, head_tail_split, make_rng
 from .sequence_model import (
+    FREE_SCALAR,
+    SPECTRA,
+    TRUNCATION_RTOL,
     ObservationSequence,
     PriorFamily,
     adequate_i_max,
     eb_fit,
-    identity_spectrum,
+    make_spectrum,
     posterior_spec,
+    posterior_variances,
     truncation_tail_bound,
-    volterra_spectrum,
 )
 
 __all__ = ["run", "main", "emit_csv", "emit_svg"]
+
+# Deepest truncation level check-truncation searches for an adequate one.
+_SUGGEST_CAP = 1 << 20
 
 _SEARCH_DEFAULTS = {
     "power_law": (0.01, 10.0),
@@ -50,22 +58,45 @@ _SEARCH_DEFAULTS = {
     "exponential": (0.01, 10.0),
 }
 
-# One entry per subcommand: key -> (default, kind).  Kinds drive both the
-# argparse registration and the normalisation of values read from --config.
+# Key groups shared by several subcommands: key -> (default, kind), where
+# the kind is a key of _KINDS or of _CHOICES.
+_RUN = {
+    "spectrum": ("volterra", "spectrum"),
+    "seed": (0, "int"),
+    "outdir": (None, "str"),
+}
+# a fixed prior of any variant; the variant picks which of alpha, tau, t is free
+_PRIOR = {
+    "variant": ("power_law", "variant"),
+    "alpha": (1.0, "float"),
+    "tau": (1.0, "float"),
+    "t": (1.0, "float"),
+    "q": (2.0, "float"),
+}
+_TRUTH = {
+    "truth": ("power", "truth"),
+    "beta": (1.0, "float"),
+    "truth-path": (None, "str"),
+}
+# settings shared by the four experiment subcommands
+_EXPERIMENT = {
+    "search": (None, "search"),
+    "gamma": (0.05, "float"),
+    "imax": (10_000, "int"),
+    "m": (100_000, "int"),
+    **_TRUTH,
+    **_RUN,
+}
+
+# One entry per subcommand.
 _SCHEMA: dict[str, dict] = {
     "radius": {
         "n": (1000.0, "float"),
-        "variant": ("power_law", "variant"),
-        "alpha": (1.0, "float"),
-        "tau": (1.0, "float"),
-        "t": (1.0, "float"),
-        "q": (2.0, "float"),
+        **_PRIOR,
         "gamma": (0.05, "float"),
         "m": (100_000, "int"),
         "imax": ("auto", "imax"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_RUN,
     },
     "eb-fit": {
         "n": (1000.0, "float"),
@@ -73,14 +104,10 @@ _SCHEMA: dict[str, dict] = {
         "search": (None, "search"),
         "alpha": (1.0, "float"),
         "q": (2.0, "float"),
-        "truth": ("power", "truth"),
-        "beta": (1.0, "float"),
-        "truth-path": (None, "str"),
+        **_TRUTH,
         "noiseless": (False, "flag"),
         "imax": (10_000, "int"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_RUN,
     },
     "fpfn": {
         "n": ([1000.0, 1_000_000.0], "floats"),
@@ -88,78 +115,36 @@ _SCHEMA: dict[str, dict] = {
         "reps": (10, "int"),
         "alpha": (1.0, "float"),
         "eb": (False, "flag"),
-        "search": (None, "search"),
-        "gamma": (0.05, "float"),
-        "imax": (10_000, "int"),
-        "m": (100_000, "int"),
-        "truth": ("power", "truth"),
-        "beta": (1.0, "float"),
-        "truth-path": (None, "str"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_EXPERIMENT,
     },
     "coverage": {
         "n": ([1000.0], "floats"),
         "reps": (10, "int"),
         "alpha": (None, "float"),
-        "search": (None, "search"),
-        "gamma": (0.05, "float"),
-        "imax": (10_000, "int"),
-        "m": (100_000, "int"),
-        "truth": ("power", "truth"),
-        "beta": (1.0, "float"),
-        "truth-path": (None, "str"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_EXPERIMENT,
     },
     "rate": {
         "n": ([1000.0, 10_000.0, 100_000.0, 1_000_000.0], "floats"),
         "reps": (10, "int"),
         "alpha": (1.0, "float"),
         "eb": (False, "flag"),
-        "search": (None, "search"),
-        "gamma": (0.05, "float"),
-        "imax": (10_000, "int"),
-        "m": (100_000, "int"),
-        "truth": ("power", "truth"),
-        "beta": (1.0, "float"),
-        "truth-path": (None, "str"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_EXPERIMENT,
     },
     "curves": {
         "n": ([1000.0, 1_000_000.0], "floats"),
         "laws": ("both", "laws"),
         "count": (50, "int"),
         "alpha": (None, "float"),
-        "search": (None, "search"),
-        "gamma": (0.05, "float"),
-        "imax": (10_000, "int"),
-        "m": (100_000, "int"),
         "grid-points": (512, "int"),
         "lawmu-scale": (1.0, "float"),
         "max-attempts": (10_000, "int"),
-        "truth": ("power", "truth"),
-        "beta": (1.0, "float"),
-        "truth-path": (None, "str"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_EXPERIMENT,
     },
     "check-truncation": {
         "n": (1000.0, "float"),
-        "variant": ("power_law", "variant"),
-        "alpha": (1.0, "float"),
-        "tau": (1.0, "float"),
-        "t": (1.0, "float"),
-        "q": (2.0, "float"),
+        **_PRIOR,
         "imax": (10_000, "int"),
-        "spectrum": ("volterra", "spectrum"),
-        "seed": (0, "int"),
-        "outdir": (None, "str"),
+        **_RUN,
     },
 }
 
@@ -174,18 +159,44 @@ _HELP = {
 }
 
 _CHOICES = {
-    "variant": ("power_law", "scaled_power_law", "exponential"),
-    "spectrum": ("volterra", "identity"),
-    "laws": ("posterior", "lawmu", "both"),
-    "truth": ("power", "zero", "custom"),
+    "variant": tuple(FREE_SCALAR),
+    "spectrum": tuple(SPECTRA),
+    "laws": CURVE_LAWS,
+    "truth": TRUTHS,
 }
 
 
-def _comma_list(cast):
-    def parse(text):
-        return [cast(part) for part in text.split(",") if part != ""]
+def _as_list(cast):
+    """Normaliser for a comma-separated string, a JSON list or one scalar."""
+
+    def parse(value) -> list:
+        if isinstance(value, str):
+            return [cast(part) for part in value.split(",") if part != ""]
+        if isinstance(value, (list, tuple)):
+            return [cast(v) for v in value]
+        return [cast(value)]
 
     return parse
+
+
+def _search(value) -> list:
+    lo, hi = value
+    return [float(lo), float(hi)]
+
+
+# Each value kind: the argparse keywords of its flag, and the normaliser of
+# its value, whether it came from a flag or from --config.  The kinds in
+# _CHOICES are strings checked against their choices instead.
+_KINDS = {
+    "float": ({"type": float}, float),
+    "int": ({"type": int}, int),
+    "floats": ({"type": _as_list(float), "metavar": "V1,V2,..."}, _as_list(float)),
+    "ints": ({"type": _as_list(int), "metavar": "V1,V2,..."}, _as_list(int)),
+    "flag": ({"action": "store_true", "default": None}, bool),
+    "imax": ({"metavar": "INT|auto"}, lambda v: v if v == "auto" else int(v)),
+    "search": ({"nargs": 2, "type": float, "metavar": ("LO", "HI")}, _search),
+    "str": ({}, lambda v: v),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,34 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(cmd, help=_HELP[cmd])
         sp.add_argument("--config", help="JSON file with settings; flags override")
         for key, (_, kind) in schema.items():
-            flag = "--" + key
-            if kind == "float":
-                sp.add_argument(flag, type=float)
-            elif kind == "int":
-                sp.add_argument(flag, type=int)
-            elif kind == "floats":
-                sp.add_argument(flag, type=_comma_list(float), metavar="V1,V2,...")
-            elif kind == "ints":
-                sp.add_argument(flag, type=_comma_list(int), metavar="V1,V2,...")
-            elif kind == "flag":
-                sp.add_argument(flag, action="store_true", default=None)
-            elif kind == "imax":
-                sp.add_argument(flag, metavar="INT|auto")
-            elif kind == "search":
-                sp.add_argument(flag, nargs=2, type=float, metavar=("LO", "HI"))
-            elif kind in _CHOICES:
-                sp.add_argument(flag, choices=_CHOICES[kind])
-            else:
-                sp.add_argument(flag)
+            options = {"choices": _CHOICES[kind]} if kind in _CHOICES else _KINDS[kind][0]
+            sp.add_argument("--" + key, **options)
     return parser
-
-
-def _as_list(value, cast) -> list:
-    if isinstance(value, str):
-        return [cast(part) for part in value.split(",") if part != ""]
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(value)]
 
 
 def _normalize(cmd: str, cfg: dict) -> dict:
@@ -236,22 +222,9 @@ def _normalize(cmd: str, cfg: dict) -> dict:
         v = out[key]
         if v is None:
             continue
-        if kind == "floats":
-            out[key] = _as_list(v, float)
-        elif kind == "ints":
-            out[key] = _as_list(v, int)
-        elif kind == "float":
-            out[key] = float(v)
-        elif kind == "int":
-            out[key] = int(v)
-        elif kind == "imax":
-            out[key] = v if v == "auto" else int(v)
-        elif kind == "search":
-            lo, hi = v
-            out[key] = [float(lo), float(hi)]
-        elif kind == "flag":
-            out[key] = bool(v)
-        elif kind in _CHOICES and v not in _CHOICES[kind]:
+        if kind not in _CHOICES:
+            out[key] = _KINDS[kind][1](v)
+        elif v not in _CHOICES[kind]:
             raise ValueError(f"{key} must be one of {_CHOICES[kind]}")
     if out.get("outdir") is None:
         out["outdir"] = os.environ.get("EBCRED_OUTDIR", ".")
@@ -398,19 +371,6 @@ def emit_svg(path, curve_set) -> None:
 # subcommand implementations
 
 
-def _spectrum_for(label: str, i_max: int):
-    return identity_spectrum(i_max) if label == "identity" else volterra_spectrum(i_max)
-
-
-def _family_from(cfg: dict) -> PriorFamily:
-    variant = cfg["variant"]
-    if variant == "power_law":
-        return PriorFamily.power_law(cfg["alpha"])
-    if variant == "scaled_power_law":
-        return PriorFamily.scaled_power_law(cfg["alpha"], cfg["tau"])
-    return PriorFamily.exponential(cfg["t"], cfg["q"])
-
-
 def _truth_params(cfg: dict) -> dict:
     if cfg["truth"] == "power":
         return {"beta": cfg["beta"]}
@@ -447,14 +407,30 @@ def _experiment_config(cfg: dict, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _prior(cfg: dict) -> PriorFamily:
+    variant = cfg["variant"]
+    return PriorFamily.with_free(
+        variant, cfg[FREE_SCALAR[variant]], alpha=cfg["alpha"], lambda_exponent=cfg["q"]
+    )
+
+
 def _cmd_radius(cfg: dict):
-    family = _family_from(cfg)
+    family = _prior(cfg)
+    label = cfg["spectrum"]
     i_max = cfg["imax"]
     if i_max == "auto":
-        i_max = adequate_i_max(family, cfg["spectrum"], cfg["n"])
-    spectrum = _spectrum_for(cfg["spectrum"], i_max)
+        i_max = adequate_i_max(family, label, cfg["n"])
+    spectrum = make_spectrum(label, i_max)
     obs = ObservationSequence(np.zeros(i_max), cfg["n"])
     post = posterior_spec(obs, spectrum, family)
+    tail = truncation_tail_bound(family, label, cfg["n"], i_max)
+    if cfg["imax"] == "auto" and tail > TRUNCATION_RTOL * float(np.sum(post.var)):
+        suggested = adequate_i_max(family, label, cfg["n"], cap=_SUGGEST_CAP)
+        raise RuntimeError(
+            f"--imax auto stopped at its cap {i_max}, where the truncation tail "
+            f"bound {tail:.3e} exceeds {TRUNCATION_RTOL:g} of the retained "
+            f"posterior variance; check-truncation suggests --imax {suggested}"
+        )
     est = radius_precise(post, cfg["gamma"], cfg["m"], make_rng(cfg["seed"]))
     split = head_tail_split(post.var, cfg["m"])
     payload = {
@@ -466,7 +442,7 @@ def _cmd_radius(cfg: dict):
         "n": cfg["n"],
         "i_max": i_max,
         "variant": cfg["variant"],
-        "tail_bound": truncation_tail_bound(family, cfg["spectrum"], cfg["n"], i_max),
+        "tail_bound": tail,
         "head_size": split.head_size,
         "tail_sd": split.tail_sd,
     }
@@ -477,7 +453,7 @@ def _cmd_radius(cfg: dict):
 
 def _cmd_eb_fit(cfg: dict):
     search = tuple(cfg["search"] or _SEARCH_DEFAULTS[cfg["variant"]])
-    spectrum = _spectrum_for(cfg["spectrum"], cfg["imax"])
+    spectrum = make_spectrum(cfg["spectrum"], cfg["imax"])
     truth = make_truth(cfg["truth"], _truth_params(cfg), cfg["imax"])
     obs = simulate_data(
         truth, spectrum, cfg["n"], make_rng(cfg["seed"]), noiseless=cfg["noiseless"]
@@ -588,22 +564,20 @@ def _cmd_curves(cfg: dict):
 
 
 def _cmd_check_truncation(cfg: dict):
-    family = _family_from(cfg)
+    family = _prior(cfg)
     label = cfg["spectrum"]
     i_max = cfg["imax"]
     tail = truncation_tail_bound(family, label, cfg["n"], i_max)
-    spectrum = _spectrum_for(label, i_max)
-    obs = ObservationSequence(np.zeros(i_max), cfg["n"])
-    post = posterior_spec(obs, spectrum, family, check_truncation=False)
-    retained = float(np.sum(post.var))
+    kappa = make_spectrum(label, i_max).kappa
+    retained = float(np.sum(posterior_variances(family, kappa, cfg["n"])))
     payload = {
         "n": cfg["n"],
         "i_max": i_max,
         "tail_bound": tail,
         "retained_variance": retained,
         "ratio": tail / retained,
-        "adequate": bool(tail <= 1e-4 * retained),
-        "suggested_i_max": adequate_i_max(family, label, cfg["n"], cap=1 << 20),
+        "adequate": bool(tail <= TRUNCATION_RTOL * retained),
+        "suggested_i_max": adequate_i_max(family, label, cfg["n"], cap=_SUGGEST_CAP),
     }
     path = _outdir(cfg) / "truncation.json"
     _write_json(path, payload)

@@ -16,17 +16,19 @@ from scipy.special import zeta
 
 from .credible_set import build_credible_ball, contains, radius_builtin, radius_precise
 from .function_space import reconstruct, uniform_grid
-from .samplers import draw_lawmu, draw_posterior, recentered_radii
+from .samplers import RngSeed, draw_lawmu, draw_posterior, recentered_radii
 from .sequence_model import (
+    FREE_SCALAR,
+    SPECTRA,
     CoefficientSequence,
     ObservationSequence,
     OperatorSpectrum,
     PosteriorSpec,
     PriorFamily,
     eb_fit,
-    identity_spectrum,
+    make_spectrum,
     posterior_spec,
-    volterra_spectrum,
+    posterior_variances,
 )
 
 __all__ = [
@@ -58,9 +60,9 @@ _DRAWS = 1
 _PRECISE = 2
 _LAWMU = 3
 
-_SPECTRA = ("volterra", "identity")
-_VARIANTS = ("power_law", "scaled_power_law", "exponential")
-_TRUTHS = ("power", "zero", "custom")
+# Built-in truth generators of make_truth, and the sampling laws of export_curves.
+TRUTHS = ("power", "zero", "custom")
+CURVE_LAWS = ("posterior", "lawmu", "both")
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,12 @@ class ExperimentConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.blowup <= 0:
             raise ValueError("blowup must be positive")
-        if self.spectrum not in _SPECTRA:
-            raise ValueError(f"spectrum must be one of {_SPECTRA}")
+        if self.spectrum not in SPECTRA:
+            raise ValueError(f"spectrum must be one of {tuple(SPECTRA)}")
         if self.i_max < 1:
             raise ValueError("i_max must be >= 1")
-        if self.prior_variant not in _VARIANTS:
-            raise ValueError(f"prior_variant must be one of {_VARIANTS}")
+        if self.prior_variant not in FREE_SCALAR:
+            raise ValueError(f"prior_variant must be one of {tuple(FREE_SCALAR)}")
         if self.fixed_hyperparameter is not None and self.fixed_hyperparameter <= 0:
             raise ValueError("fixed_hyperparameter must be positive or None")
         if self.scaled_alpha <= 0 or self.lambda_exponent <= 0:
@@ -123,8 +125,8 @@ class ExperimentConfig:
         lo, hi = self.search_interval
         if not (0 < lo < hi):
             raise ValueError("search_interval must satisfy 0 < lo < hi")
-        if self.truth_name not in _TRUTHS:
-            raise ValueError(f"truth_name must be one of {_TRUTHS}")
+        if self.truth_name not in TRUTHS:
+            raise ValueError(f"truth_name must be one of {TRUTHS}")
         if self.m_precise < 2:
             raise ValueError("m_precise must be >= 2")
         if self.curve_count < 1 or self.grid_points < 2:
@@ -154,30 +156,22 @@ class ExperimentConfig:
 
 
 def _stream(config: ExperimentConfig, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(config.master_seed), spawn_key=tuple(key))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _make_spectrum(config: ExperimentConfig) -> OperatorSpectrum:
-    if config.spectrum == "identity":
-        return identity_spectrum(config.i_max)
-    return volterra_spectrum(config.i_max)
-
-
-def _fixed_family(config: ExperimentConfig) -> PriorFamily:
-    h = config.fixed_hyperparameter
-    if config.prior_variant == "power_law":
-        return PriorFamily.power_law(h)
-    if config.prior_variant == "scaled_power_law":
-        return PriorFamily.scaled_power_law(config.scaled_alpha, h)
-    return PriorFamily.exponential(h, config.lambda_exponent)
+    return RngSeed(int(config.master_seed), key).generator()
 
 
 def _fit_family(
-    config: ExperimentConfig, obs: ObservationSequence, spectrum: OperatorSpectrum
+    config: ExperimentConfig,
+    obs: ObservationSequence | None,
+    spectrum: OperatorSpectrum,
 ) -> PriorFamily:
+    """The pinned prior, or under empirical Bayes the prior fitted to obs."""
     if config.fixed_hyperparameter is not None:
-        return _fixed_family(config)
+        return PriorFamily.with_free(
+            config.prior_variant,
+            config.fixed_hyperparameter,
+            alpha=config.scaled_alpha,
+            lambda_exponent=config.lambda_exponent,
+        )
     fit = eb_fit(
         obs,
         spectrum,
@@ -287,9 +281,8 @@ def _fixed_posterior(
     config: ExperimentConfig, spectrum: OperatorSpectrum, n: float
 ) -> PosteriorSpec:
     """Posterior for a pinned hyperparameter; variances are data-free."""
-    family = _fixed_family(config)
-    v = family.variances(config.i_max)
-    var = 1.0 / (1.0 / np.maximum(v, 1e-300) + n * spectrum.kappa**2)
+    family = _fit_family(config, None, spectrum)
+    var = posterior_variances(family, spectrum.kappa, n)
     return PosteriorSpec(mean=np.zeros(config.i_max), var=var, family=family)
 
 
@@ -385,7 +378,7 @@ def fpfn_experiment(config: ExperimentConfig) -> FpFnReport:
     precise radius is computed once per n; under empirical Bayes it is
     recomputed per repetition for the fitted posterior.
     """
-    spectrum = _make_spectrum(config)
+    spectrum = make_spectrum(config.spectrum, config.i_max)
     truth = make_truth(config.truth_name, config.truth_params, config.i_max)
     rows = []
     for n_idx, n in enumerate(config.n_values):
@@ -430,7 +423,7 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageReport:
     when fixed_hyperparameter is None), estimates the precise radius, and
     checks membership of the true sequence in the blown-up ball.
     """
-    spectrum = _make_spectrum(config)
+    spectrum = make_spectrum(config.spectrum, config.i_max)
     truth = make_truth(config.truth_name, config.truth_params, config.i_max)
     rows = []
     for n_idx, n in enumerate(config.n_values):
@@ -495,7 +488,7 @@ def rate_experiment(config: ExperimentConfig) -> RateReport:
     ns = np.array(config.n_values, dtype=np.float64)
     if ns.size < 2 or np.log10(ns.max() / ns.min()) < 3.0 - 1e-9:
         raise ValueError("rate study needs n_values spanning >= 3 decades")
-    spectrum = _make_spectrum(config)
+    spectrum = make_spectrum(config.spectrum, config.i_max)
     truth = make_truth(config.truth_name, config.truth_params, config.i_max)
     fixed = config.fixed_hyperparameter is not None
     rows = []
@@ -571,10 +564,10 @@ def export_curves(config: ExperimentConfig, which: str = "both") -> CurveSet:
     ball-conditioned recentring law with scale a = lawmu_scale * radius.
     Raises ProposalExhausted if the rejection sampler starves.
     """
-    if which not in ("posterior", "lawmu", "both"):
-        raise ValueError("which must be 'posterior', 'lawmu', or 'both'")
+    if which not in CURVE_LAWS:
+        raise ValueError(f"which must be one of {CURVE_LAWS}")
     laws = ("lawmu", "posterior") if which == "both" else (which,)
-    spectrum = _make_spectrum(config)
+    spectrum = make_spectrum(config.spectrum, config.i_max)
     truth = make_truth(config.truth_name, config.truth_params, config.i_max)
     xs = uniform_grid(config.grid_points)
     curves = []

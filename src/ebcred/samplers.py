@@ -48,23 +48,28 @@ class ProposalExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Reproducible generator address: one integer seed plus a stream index."""
+    """Reproducible generator address: one integer seed plus a stream.
+
+    The stream is one index or a tuple of indices; either way it is the
+    SeedSequence spawn key, so the stream k and the tuple (k,) coincide.
+    """
 
     seed: int = 0
-    stream: int = 0
+    stream: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.stream < 0:
+        if np.any(np.asarray(self.stream) < 0):
             raise ValueError("stream must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        key = self.stream if isinstance(self.stream, tuple) else (self.stream,)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def make_rng(seed, stream: int = 0) -> np.random.Generator:
+def make_rng(seed, stream: int | tuple[int, ...] = 0) -> np.random.Generator:
     """Coerce an int, RngSeed, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed

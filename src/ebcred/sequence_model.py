@@ -26,9 +26,14 @@ __all__ = [
     "PosteriorSpec",
     "EBFitResult",
     "TruncationWarning",
+    "SPECTRA",
+    "FREE_SCALAR",
+    "TRUNCATION_RTOL",
+    "make_spectrum",
     "volterra_spectrum",
     "identity_spectrum",
     "prior_variance",
+    "posterior_variances",
     "posterior_spec",
     "marginal_log_likelihood",
     "eb_fit",
@@ -39,6 +44,10 @@ __all__ = [
 # Variance contributions this small are treated as exactly exhausted when
 # bounding truncation tails.
 _UNDERFLOW = 1e-300
+
+# A truncation level is adequate when the bound on the posterior variance
+# mass past it is at most this fraction of the retained mass.
+TRUNCATION_RTOL = 1e-4
 
 
 class TruncationWarning(UserWarning):
@@ -95,23 +104,40 @@ class OperatorSpectrum:
         return self.kappa.size
 
 
+# Singular values kappa(i) of each known forward operator, for a float64
+# array of 1-based indices i.  Tail bounds use the same entry to extend a
+# spectrum past its stored slice; a new spectrum is one more entry.
+SPECTRA = {
+    "volterra": lambda i: 1.0 / ((i - 0.5) * np.pi),
+    "identity": np.ones_like,
+}
+
+
+def make_spectrum(label: str, i_max: int) -> OperatorSpectrum:
+    """First i_max singular values of the operator registered under label."""
+    if label not in SPECTRA:
+        raise ValueError(f"spectrum must be one of {tuple(SPECTRA)}, got {label!r}")
+    i = np.arange(1, i_max + 1, dtype=np.float64)
+    return OperatorSpectrum(SPECTRA[label](i), label=label)
+
+
 def volterra_spectrum(i_max: int) -> OperatorSpectrum:
     """Spectrum kappa_i = 1 / ((i - 1/2) * pi) of the integration operator.
 
     These are the singular values of (Tf)(x) = int_0^x f(s) ds on L2[0, 1];
     the associated singular functions are sqrt(2) * cos((i - 1/2) * pi * x).
     """
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1")
-    i = np.arange(1, i_max + 1, dtype=np.float64)
-    return OperatorSpectrum(1.0 / ((i - 0.5) * np.pi), label="volterra")
+    return make_spectrum("volterra", i_max)
 
 
 def identity_spectrum(i_max: int) -> OperatorSpectrum:
     """Flat spectrum kappa_i = 1, i.e. the direct (non-inverse) problem."""
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1")
-    return OperatorSpectrum(np.ones(i_max), label="identity")
+    return make_spectrum("identity", i_max)
+
+
+# Each prior variant and the field holding its free scalar: the one eb_fit
+# fits and a fixed prior pins.
+FREE_SCALAR = {"power_law": "alpha", "scaled_power_law": "tau", "exponential": "t"}
 
 
 @dataclass(frozen=True)
@@ -132,21 +158,14 @@ class PriorFamily:
     lambda_exponent: float = 2.0
 
     def __post_init__(self):
-        if self.variant == "power_law":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("power_law requires alpha > 0")
-        elif self.variant == "scaled_power_law":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("scaled_power_law requires alpha > 0")
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("scaled_power_law requires tau > 0")
-        elif self.variant == "exponential":
-            if self.t is None or self.t <= 0:
-                raise ValueError("exponential requires t > 0")
-            if self.lambda_exponent <= 0:
-                raise ValueError("lambda_exponent must be positive")
-        else:
+        if self.variant not in FREE_SCALAR:
             raise ValueError(f"unknown prior variant {self.variant!r}")
+        scaled = self.variant == "scaled_power_law"
+        for name in ("alpha", "tau") if scaled else (FREE_SCALAR[self.variant],):
+            if getattr(self, name) is None or getattr(self, name) <= 0:
+                raise ValueError(f"{self.variant} requires {name} > 0")
+        if self.variant == "exponential" and self.lambda_exponent <= 0:
+            raise ValueError("lambda_exponent must be positive")
 
     @classmethod
     def power_law(cls, alpha: float) -> "PriorFamily":
@@ -163,6 +182,20 @@ class PriorFamily:
             t=float(t),
             lambda_exponent=float(lambda_exponent),
         )
+
+    @classmethod
+    def with_free(cls, variant: str, value: float, *, alpha: float | None = None,
+                  lambda_exponent: float = 2.0) -> "PriorFamily":
+        """Family of the variant with its free scalar (FREE_SCALAR) set to value.
+
+        scaled_power_law holds alpha fixed and exponential holds
+        lambda_exponent fixed; the other variants ignore them.
+        """
+        if variant == "scaled_power_law":
+            return cls.scaled_power_law(alpha, value)
+        if variant == "exponential":
+            return cls.exponential(value, lambda_exponent)
+        return cls(variant=variant, alpha=float(value))
 
     def variances(self, i_max: int) -> np.ndarray:
         """Prior variances v_1, ..., v_{i_max} as a float64 vector."""
@@ -237,6 +270,16 @@ class PosteriorSpec:
         return self.mean.size
 
 
+def posterior_variances(family: PriorFamily, kappa: np.ndarray, n: float) -> np.ndarray:
+    """Conjugate posterior variances 1 / (1/v_i + n kappa_i**2), i = 1..len(kappa).
+
+    A prior variance that underflows to 0 gives posterior variance 0.
+    """
+    v = family.variances(kappa.size)
+    prec = 1.0 / v if np.all(v > 0) else np.where(v > 0, 1.0 / np.maximum(v, _UNDERFLOW), np.inf)
+    return 1.0 / (prec + n * kappa**2)
+
+
 def _check_shared_length(obs: ObservationSequence, spectrum: OperatorSpectrum):
     if obs.i_max != spectrum.i_max:
         raise ValueError(
@@ -255,23 +298,21 @@ def posterior_spec(
     """Closed-form diagonal posterior for the white noise model.
 
     Emits a TruncationWarning when the variance mass beyond i_max is not
-    negligible next to the retained posterior variance mass (threshold
-    1e-4 relative), which signals that radii computed from this posterior
-    would be biased low.  Set check_truncation=False in tight loops where
-    the caller has already established adequacy.
+    negligible next to the retained posterior variance mass (more than
+    TRUNCATION_RTOL of it), which signals that radii computed from this
+    posterior would be biased low.  Set check_truncation=False in tight
+    loops where the caller has already established adequacy.
     """
     _check_shared_length(obs, spectrum)
-    v = family.variances(obs.i_max)
-    prec = 1.0 / v if np.all(v > 0) else np.where(v > 0, 1.0 / np.maximum(v, _UNDERFLOW), np.inf)
-    var = 1.0 / (prec + obs.n * spectrum.kappa**2)
+    var = posterior_variances(family, spectrum.kappa, obs.n)
     mean = obs.n * spectrum.kappa * obs.y * var
     if check_truncation:
         tail = truncation_tail_bound(family, spectrum.label, obs.n, obs.i_max)
         retained = float(np.sum(var))
-        if tail > 1e-4 * retained:
+        if tail > TRUNCATION_RTOL * retained:
             warnings.warn(
                 f"posterior variance beyond i_max={obs.i_max} is at most "
-                f"{tail:.3e}, above 1e-4 of the retained mass {retained:.3e}; "
+                f"{tail:.3e}, above {TRUNCATION_RTOL:g} of the retained mass {retained:.3e}; "
                 "raise i_max for radius work",
                 TruncationWarning,
                 stacklevel=2,
@@ -292,9 +333,13 @@ def marginal_log_likelihood(
                              + y_i**2 / (kappa_i**2 v_i + 1/n) ].
     """
     _check_shared_length(obs, spectrum)
-    v = family.variances(obs.i_max)
-    marg = spectrum.kappa**2 * v + 1.0 / obs.n
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * marg) + obs.y**2 / marg))
+    return _log_marginal(family.variances(obs.i_max), spectrum.kappa**2, obs.y**2, 1.0 / obs.n)
+
+
+def _log_marginal(v: np.ndarray, k2: np.ndarray, y2: np.ndarray, inv_n: float) -> float:
+    """marginal_log_likelihood from prior variances, kappa**2, y**2 and 1/n."""
+    marg = k2 * v + inv_n
+    return float(-0.5 * np.sum(np.log(2.0 * np.pi * marg) + y2 / marg))
 
 
 @dataclass
@@ -309,21 +354,7 @@ class EBFitResult:
     @property
     def value(self) -> float:
         """The fitted free scalar: alpha, tau, or t according to the variant."""
-        if self.family.variant == "exponential":
-            return self.family.t
-        if self.family.variant == "scaled_power_law":
-            return self.family.tau
-        return self.family.alpha
-
-
-def _family_with(variant: str, value: float,
-                 lambda_exponent: float, alpha: float | None) -> PriorFamily:
-    """Family with the variant's free scalar set to value, rest held fixed."""
-    if variant == "power_law":
-        return PriorFamily.power_law(value)
-    if variant == "scaled_power_law":
-        return PriorFamily.scaled_power_law(alpha, value)
-    return PriorFamily.exponential(value, lambda_exponent)
+        return getattr(self.family, FREE_SCALAR[self.family.variant])
 
 
 def eb_fit(
@@ -363,10 +394,8 @@ def eb_fit(
     inv_n = 1.0 / obs.n
 
     def objective(h: float) -> float:
-        fam = _family_with(variant, h, lambda_exponent, alpha)
-        v = _variances_at(fam, i)
-        marg = k2 * v + inv_n
-        return float(-0.5 * np.sum(np.log(2.0 * np.pi * marg) + y2 / marg))
+        fam = PriorFamily.with_free(variant, h, alpha=alpha, lambda_exponent=lambda_exponent)
+        return _log_marginal(_variances_at(fam, i), k2, y2, inv_n)
 
     grid = np.linspace(lo, hi, grid_points)
     grid_ll = np.array([objective(h) for h in grid])
@@ -394,19 +423,10 @@ def eb_fit(
     if refined_ll > ll or (refined_ll == ll and refined < value):
         value, ll = refined, refined_ll
 
-    fam = _family_with(variant, float(value), lambda_exponent, alpha)
+    fam = PriorFamily.with_free(variant, float(value), alpha=alpha, lambda_exponent=lambda_exponent)
     return EBFitResult(
         family=fam, log_likelihood=float(ll), grid=grid, grid_log_likelihood=grid_ll
     )
-
-
-def _extended_kappa_sq(label: str, i: np.ndarray) -> np.ndarray | None:
-    """Squared singular values past the stored slice, for known labels only."""
-    if label == "volterra":
-        return 1.0 / ((i - 0.5) ** 2 * np.pi**2)
-    if label == "identity":
-        return np.ones_like(i)
-    return None
 
 
 def truncation_tail_bound(
@@ -421,8 +441,8 @@ def truncation_tail_bound(
 
     Coordinatewise var_i = 1/(1/v_i + n kappa_i**2) <= min(v_i, 1/(n kappa_i**2)).
     The first `extension` tail terms are summed numerically, extending the
-    spectrum analytically when the label is recognised and falling back to
-    the prior-only bound otherwise; the remainder past the extension is
+    spectrum through SPECTRA when the label is registered there and falling
+    back to the prior-only bound otherwise; the remainder past the extension is
     bounded by an integral comparison on the prior variances.
     """
     if i_max < 1:
@@ -431,8 +451,8 @@ def truncation_tail_bound(
         raise ValueError("n must be positive")
     i = np.arange(i_max + 1, i_max + extension + 1, dtype=np.float64)
     v = _variances_at(family, i)
-    k2 = _extended_kappa_sq(spectrum_label, i)
-    terms = v if k2 is None else np.minimum(v, 1.0 / (n * k2))
+    kappa = SPECTRA.get(spectrum_label)
+    terms = v if kappa is None else np.minimum(v, 1.0 / (n * kappa(i) ** 2))
     total = float(np.sum(terms))
 
     edge = float(i_max + extension)
@@ -468,20 +488,13 @@ def adequate_i_max(
     Doubles i_max from `start` until the truncation tail bound drops below
     rel_tol times the retained posterior variance mass, then returns that
     level (capped at `cap`).  The default tolerance is a factor 10 stricter
-    than the warning threshold in posterior_spec, so radii computed at the
-    returned level are unaffected by truncation at the reported precision.
+    than TRUNCATION_RTOL, so radii computed at the returned level are
+    unaffected by truncation at the reported precision.
     """
-    if spectrum_label == "volterra":
-        make = volterra_spectrum
-    elif spectrum_label == "identity":
-        make = identity_spectrum
-    else:
-        raise ValueError("adequacy search needs a recognised spectrum label")
     m = min(start, cap)
     while True:
-        kappa = make(m).kappa
-        v = family.variances(m)
-        retained = float(np.sum(1.0 / (1.0 / np.maximum(v, _UNDERFLOW) + n * kappa**2)))
+        kappa = make_spectrum(spectrum_label, m).kappa
+        retained = float(np.sum(posterior_variances(family, kappa, n)))
         tail = truncation_tail_bound(family, spectrum_label, n, m)
         if tail <= rel_tol * retained or m >= cap:
             return m

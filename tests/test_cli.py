@@ -54,6 +54,18 @@ def test_radius_reference_value_at_seed_7(capsys, tmp_path):
     assert man["result"]["std_error"] < 0.005
 
 
+@pytest.mark.filterwarnings("ignore::ebcred.TruncationWarning")
+def test_radius_auto_imax_exits_3_when_inadequate(capsys, tmp_path):
+    # at n = 1e12 the auto level stops at its cap 10 000, whose tail bound is
+    # about 1.9e-4 of the retained variance; the adequate level is 65 536
+    out = tmp_path / "out"
+    rc = cli.run(["radius", "--n", "1e12", "--m", "500", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "check-truncation suggests --imax 65536" in err
+    assert not (out / "radius.json").exists()
+
+
 def test_radius_respects_env_outdir(capsys, monkeypatch, tmp_path):
     target = tmp_path / "from_env"
     monkeypatch.setenv("EBCRED_OUTDIR", str(target))
@@ -116,17 +128,37 @@ def test_fpfn_reruns_are_byte_identical(capsys, tmp_path):
     assert a == b
 
 
-def test_fpfn_manifest_config_round_trips(capsys, tmp_path):
-    man = run_ok(capsys, FPFN_ARGS + ["--outdir", str(tmp_path / "a")])
+ROUND_TRIP_ARGS = [
+    ["radius", "--n", "1000", "--m", "2000", "--seed", "3"],
+    ["eb-fit", "--n", "1000", "--imax", "300", "--seed", "2"],
+    FPFN_ARGS,
+    ["coverage", "--n", "1000", "--reps", "2", "--alpha", "1", "--imax", "300",
+     "--m", "2000"],
+    ["rate", "--n", "1e3,1e4,1e5,1e6", "--reps", "1", "--alpha", "1",
+     "--imax", "2000", "--m", "1000"],
+    ["curves", "--n", "1000", "--count", "2", "--alpha", "1", "--imax", "256",
+     "--m", "2000", "--grid-points", "32", "--seed", "5"],
+    ["check-truncation", "--n", "1000", "--imax", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP_ARGS, ids=lambda argv: argv[0])
+def test_manifest_config_round_trips(capsys, tmp_path, argv):
+    man = run_ok(capsys, argv + ["--outdir", str(tmp_path / "a")])
     cfg_file = tmp_path / "replay.json"
     cfg_file.write_text(json.dumps(man["config"]))
-    run_ok(
+    replay = run_ok(
         capsys,
-        ["fpfn", "--config", str(cfg_file), "--outdir", str(tmp_path / "b")],
+        [argv[0], "--config", str(cfg_file), "--outdir", str(tmp_path / "b")],
     )
-    a = (tmp_path / "a" / "fpfn.csv").read_bytes()
-    b = (tmp_path / "b" / "fpfn.csv").read_bytes()
-    assert a == b
+    assert replay["result"] == man["result"]
+    assert {**replay["config"], "outdir": None} == {**man["config"], "outdir": None}
+    assert man["outputs"]
+    for path in man["outputs"]:
+        name = path.rsplit("/", 1)[-1]
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
+        assert a == b
 
 
 def test_fpfn_flag_overrides_config_file(capsys, tmp_path):

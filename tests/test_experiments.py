@@ -8,23 +8,28 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from ebcred import (
+    EBFitResult,
     ExperimentConfig,
+    ObservationSequence,
     PriorFamily,
     count_fp_fn,
     coverage_experiment,
     export_curves,
     fpfn_experiment,
     make_rng,
+    make_spectrum,
     make_truth,
+    posterior_spec,
     rate_experiment,
     simulate_data,
     volterra_spectrum,
 )
 from ebcred.experiments import (
-    _make_spectrum,
+    _fixed_posterior,
     _shared_precise_radius,
     fpfn_repetition,
 )
+from ebcred.sequence_model import FREE_SCALAR
 
 # ------------------------------------------------------------------ truths
 
@@ -173,7 +178,7 @@ def test_fpfn_experiment_is_deterministic():
 def test_fpfn_repetition_reproducible_in_isolation():
     """Any single row can be recomputed without running the whole grid."""
     report = fpfn_experiment(SMALL_FPFN)
-    spectrum = _make_spectrum(SMALL_FPFN)
+    spectrum = make_spectrum(SMALL_FPFN.spectrum, SMALL_FPFN.i_max)
     truth = make_truth(SMALL_FPFN.truth_name, SMALL_FPFN.truth_params, SMALL_FPFN.i_max)
     shared = _shared_precise_radius(SMALL_FPFN, spectrum, 1000.0, 0)
     # row order is (n_idx, N_idx, rep); pick N = 200, rep = 1
@@ -184,6 +189,33 @@ def test_fpfn_repetition_reproducible_in_isolation():
 def test_fpfn_shares_one_precise_radius_when_fixed():
     report = fpfn_experiment(SMALL_FPFN)
     assert len({row.radius_precise for row in report.rows}) == 1
+
+
+@pytest.mark.parametrize(
+    "variant, value", [("power_law", 1.5), ("scaled_power_law", 2.0), ("exponential", 1.0)]
+)
+def test_fixed_prior_variances_are_posterior_spec_bits(variant, value):
+    """The fixed-prior experiments and posterior_spec share one variance formula.
+
+    exp(-i**2) underflows to 0 past i = 27, where the posterior variance is 0.
+    """
+    cfg = ExperimentConfig(
+        prior_variant=variant, fixed_hyperparameter=value, scaled_alpha=0.75,
+        lambda_exponent=2.0, i_max=100,
+    )
+    spectrum = volterra_spectrum(100)
+    fixed = _fixed_posterior(cfg, spectrum, 1000.0)
+    obs = ObservationSequence(np.zeros(100), 1000.0)
+    ref = posterior_spec(obs, spectrum, fixed.family, check_truncation=False)
+    assert fixed.var.tobytes() == ref.var.tobytes()
+    if variant == "exponential":
+        assert np.count_nonzero(ref.var == 0.0) == 73
+
+    family = PriorFamily.with_free(variant, value, alpha=0.75, lambda_exponent=2.0)
+    assert family == fixed.family
+    assert getattr(family, FREE_SCALAR[variant]) == value
+    fit = EBFitResult(family, 0.0, grid=np.empty(0), grid_log_likelihood=np.empty(0))
+    assert fit.value == value
 
 
 @pytest.mark.filterwarnings("ignore::ebcred.TruncationWarning")
