@@ -23,13 +23,7 @@ from .experiments import (
     rate_experiment,
     simulate_data,
 )
-from .function_space import (
-    FunctionGrid,
-    basis_eval,
-    reconstruct,
-    sup_distance,
-    uniform_grid,
-)
+from .function_space import reconstruct, uniform_grid
 from .samplers import (
     HeadTailSplit,
     ProposalExhausted,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -199,6 +200,7 @@ _KINDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ebcred",
@@ -276,6 +278,20 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_report(cfg: dict, csv_name: str, rows: list, sort_by: tuple[str, ...],
+                  json_name: str, payload: dict):
+    """Write the row dataclasses, sorted by the fields sort_by, as a CSV with one
+    column per field, and payload as JSON; return the payload and both paths."""
+    rows = sorted(rows, key=lambda r: [getattr(r, name) for name in sort_by])
+    out = _outdir(cfg)
+    csv_path = out / csv_name
+    header = [f.name for f in dataclasses.fields(rows[0])]
+    emit_csv(csv_path, header, [dataclasses.astuple(r) for r in rows])
+    json_path = out / json_name
+    _write_json(json_path, payload)
+    return payload, [str(csv_path), str(json_path)]
+
+
 _PANEL_W = 420
 _PANEL_H = 280
 _MARGIN = 56
@@ -291,10 +307,7 @@ def emit_svg(path, curve_set) -> None:
     if not curve_set.curves:
         raise ValueError("dataset must be nonempty")
     laws = curve_set.sample_laws() or ["mean"]
-    ns: list[float] = []
-    for c in curve_set.curves:
-        if c.n not in ns:
-            ns.append(c.n)
+    ns = list(dict.fromkeys(c.n for c in curve_set.curves))
     cols, nrows = len(laws), len(ns)
     width = 2 * _MARGIN + cols * _PANEL_W + (cols - 1) * _GAP
     height = 2 * _MARGIN + nrows * _PANEL_H + (nrows - 1) * _GAP
@@ -386,10 +399,7 @@ def _outdir(cfg: dict) -> Path:
 
 
 def _experiment_config(cfg: dict, **overrides) -> ExperimentConfig:
-    if "eb" in cfg:
-        fixed = None if cfg["eb"] else cfg["alpha"]
-    else:
-        fixed = cfg["alpha"]
+    fixed = None if cfg.get("eb") else cfg["alpha"]
     kwargs = dict(
         n_values=tuple(cfg["n"]),
         repetitions=cfg.get("reps", 1),
@@ -482,57 +492,30 @@ def _cmd_eb_fit(cfg: dict):
 def _cmd_fpfn(cfg: dict):
     config = _experiment_config(cfg, draw_counts=tuple(cfg["draws"]))
     report = fpfn_experiment(config)
-    rows = sorted(report.rows, key=lambda r: (r.n, r.N, r.rep))
-    out = _outdir(cfg)
-    csv_path = out / "fpfn.csv"
-    emit_csv(
-        csv_path,
-        ["n", "N", "rep", "fp", "fn", "threshold_builtin", "radius_precise"],
-        [
-            (r.n, r.N, r.rep, r.fp, r.fn, r.threshold_builtin, r.radius_precise)
-            for r in rows
-        ],
+    cells = {"cells": [dataclasses.asdict(c) for c in report.cells]}
+    sort_by = ("n", "N", "rep")
+    return _write_report(
+        cfg, "fpfn.csv", report.rows, sort_by, "fpfn_cells.json", cells
     )
-    cells = [dataclasses.asdict(c) for c in report.cells]
-    cells_path = out / "fpfn_cells.json"
-    _write_json(cells_path, {"cells": cells})
-    return {"cells": cells}, [str(csv_path), str(cells_path)]
 
 
 def _cmd_coverage(cfg: dict):
     report = coverage_experiment(_experiment_config(cfg))
-    rows = sorted(report.rows, key=lambda r: (r.n, r.rep))
-    out = _outdir(cfg)
-    csv_path = out / "coverage.csv"
-    emit_csv(
-        csv_path,
-        ["n", "rep", "covered", "radius"],
-        [(r.n, r.rep, r.covered, r.radius) for r in rows],
+    cells = {"cells": [dataclasses.asdict(c) for c in report.cells]}
+    sort_by = ("n", "rep")
+    return _write_report(
+        cfg, "coverage.csv", report.rows, sort_by, "coverage_cells.json", cells
     )
-    cells = [dataclasses.asdict(c) for c in report.cells]
-    cells_path = out / "coverage_cells.json"
-    _write_json(cells_path, {"cells": cells})
-    return {"cells": cells}, [str(csv_path), str(cells_path)]
 
 
 def _cmd_rate(cfg: dict):
     report = rate_experiment(_experiment_config(cfg))
-    rows = sorted(report.rows, key=lambda r: r.n)
-    out = _outdir(cfg)
-    csv_path = out / "rate.csv"
-    emit_csv(
-        csv_path,
-        ["n", "mean_radius", "mean_risk"],
-        [(r.n, r.mean_radius, r.mean_risk) for r in rows],
-    )
     payload = {
         "radius_slope": report.radius_slope,
         "risk_slope": report.risk_slope,
         "radius_slope_variance_proxy": report.radius_slope_variance_proxy,
     }
-    json_path = out / "rate.json"
-    _write_json(json_path, payload)
-    return payload, [str(csv_path), str(json_path)]
+    return _write_report(cfg, "rate.csv", report.rows, ("n",), "rate.json", payload)
 
 
 def _cmd_curves(cfg: dict):
@@ -575,7 +558,8 @@ def _cmd_check_truncation(cfg: dict):
         "i_max": i_max,
         "tail_bound": tail,
         "retained_variance": retained,
-        "ratio": tail / retained,
+        # an underflowing prior retains no variance and leaves no tail
+        "ratio": tail / retained if retained > 0 else 0.0,
         "adequate": bool(tail <= TRUNCATION_RTOL * retained),
         "suggested_i_max": adequate_i_max(family, label, cfg["n"], cap=_SUGGEST_CAP),
     }

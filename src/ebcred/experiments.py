@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import zeta
 
-from .credible_set import build_credible_ball, contains, radius_builtin, radius_precise
+from .credible_set import (
+    RadiusEstimate,
+    build_credible_ball,
+    contains,
+    radius_builtin,
+    radius_precise,
+)
 from .function_space import reconstruct, uniform_grid
 from .samplers import RngSeed, draw_lawmu, draw_posterior, recentered_radii
 from .sequence_model import (
@@ -183,6 +189,28 @@ def _fit_family(
     return fit.family
 
 
+def _posterior(
+    config: ExperimentConfig,
+    spectrum: OperatorSpectrum,
+    truth: CoefficientSequence,
+    n: float,
+    *key: int,
+) -> PosteriorSpec:
+    """Simulate data on the key's _DATA substream, fit or pin the prior, form the posterior."""
+    obs = simulate_data(truth, spectrum, n, _stream(config, *key, _DATA))
+    family = _fit_family(config, obs, spectrum)
+    return posterior_spec(obs, spectrum, family)
+
+
+def _precise_radius(
+    config: ExperimentConfig, post: PosteriorSpec, *key: int
+) -> RadiusEstimate:
+    """Precise radius of post on the key's _PRECISE substream."""
+    return radius_precise(
+        post, config.gamma, config.m_precise, _stream(config, *key, _PRECISE)
+    )
+
+
 def make_truth(name: str, params: dict | None, i_max: int) -> CoefficientSequence:
     """Built-in true sequences for simulations.
 
@@ -295,11 +323,7 @@ def _shared_precise_radius(
     on the data, so one large recentred simulation per n serves every
     repetition and draw count.
     """
-    post = _fixed_posterior(config, spectrum, n)
-    est = radius_precise(
-        post, config.gamma, config.m_precise, _stream(config, n_idx, _PRECISE)
-    )
-    return est.value
+    return _precise_radius(config, _fixed_posterior(config, spectrum, n), n_idx).value
 
 
 def fpfn_repetition(
@@ -314,24 +338,14 @@ def fpfn_repetition(
     shared_precise: float | None,
 ) -> FpFnRow:
     """One repetition of one (n, N) cell; all state derives from the indices."""
-    data_rng = _stream(config, n_idx, N_idx, rep, _DATA)
-    obs = simulate_data(truth, spectrum, n, data_rng)
-    family = _fit_family(config, obs, spectrum)
-    post = posterior_spec(obs, spectrum, family)
+    post = _posterior(config, spectrum, truth, n, n_idx, N_idx, rep)
     draw_radii = recentered_radii(
         post.var, N, _stream(config, n_idx, N_idx, rep, _DRAWS)
     )
     threshold = radius_builtin(draw_radii, config.gamma).value
-    if shared_precise is None:
-        est = radius_precise(
-            post,
-            config.gamma,
-            config.m_precise,
-            _stream(config, n_idx, N_idx, rep, _PRECISE),
-        )
-        precise = est.value
-    else:
-        precise = shared_precise
+    precise = shared_precise
+    if precise is None:
+        precise = _precise_radius(config, post, n_idx, N_idx, rep).value
     fp, fn = count_fp_fn(draw_radii, threshold, precise)
     return FpFnRow(
         n=n,
@@ -346,11 +360,7 @@ def fpfn_repetition(
 
 def _fpfn_cells(rows: list[FpFnRow]) -> list[FpFnCell]:
     cells = []
-    seen = []
-    for row in rows:
-        if (row.n, row.N) not in seen:
-            seen.append((row.n, row.N))
-    for n, N in seen:
+    for n, N in dict.fromkeys((row.n, row.N) for row in rows):
         fp = np.array([r.fp for r in rows if (r.n, r.N) == (n, N)], dtype=np.float64)
         fn = np.array([r.fn for r in rows if (r.n, r.N) == (n, N)], dtype=np.float64)
         cells.append(
@@ -428,17 +438,8 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageReport:
     rows = []
     for n_idx, n in enumerate(config.n_values):
         for rep in range(config.repetitions):
-            obs = simulate_data(
-                truth, spectrum, n, _stream(config, n_idx, rep, _DATA)
-            )
-            family = _fit_family(config, obs, spectrum)
-            post = posterior_spec(obs, spectrum, family)
-            est = radius_precise(
-                post,
-                config.gamma,
-                config.m_precise,
-                _stream(config, n_idx, rep, _PRECISE),
-            )
+            post = _posterior(config, spectrum, truth, n, n_idx, rep)
+            est = _precise_radius(config, post, n_idx, rep)
             ball = build_credible_ball(post, est, config.blowup, config.gamma)
             rows.append(
                 CoverageRow(
@@ -472,9 +473,6 @@ class RateReport:
     risk_slope: float
     radius_slope_variance_proxy: float | None
 
-    def radii(self) -> np.ndarray:
-        return np.array([r.mean_radius for r in self.rows])
-
 
 def rate_experiment(config: ExperimentConfig) -> RateReport:
     """Log-log scaling of the precise radius and the estimation risk in n.
@@ -500,20 +498,10 @@ def rate_experiment(config: ExperimentConfig) -> RateReport:
             proxy_mass.append(float(np.sum(_fixed_posterior(config, spectrum, n).var)))
             radii.append(_shared_precise_radius(config, spectrum, n, n_idx))
         for rep in range(config.repetitions):
-            obs = simulate_data(
-                truth, spectrum, n, _stream(config, n_idx, rep, _DATA)
-            )
-            family = _fit_family(config, obs, spectrum)
-            post = posterior_spec(obs, spectrum, family)
+            post = _posterior(config, spectrum, truth, n, n_idx, rep)
             risks.append(float(np.linalg.norm(post.mean - truth.values)))
             if not fixed:
-                est = radius_precise(
-                    post,
-                    config.gamma,
-                    config.m_precise,
-                    _stream(config, n_idx, rep, _PRECISE),
-                )
-                radii.append(est.value)
+                radii.append(_precise_radius(config, post, n_idx, rep).value)
         rows.append(
             RateRow(
                 n=n,
@@ -549,11 +537,8 @@ class CurveSet:
     curves: list[Curve]
 
     def sample_laws(self) -> list[str]:
-        seen = []
-        for c in self.curves:
-            if c.law in ("posterior", "lawmu") and c.law not in seen:
-                seen.append(c.law)
-        return seen
+        sampled = (c.law for c in self.curves if c.law in ("posterior", "lawmu"))
+        return list(dict.fromkeys(sampled))
 
 
 def export_curves(config: ExperimentConfig, which: str = "both") -> CurveSet:
@@ -572,27 +557,21 @@ def export_curves(config: ExperimentConfig, which: str = "both") -> CurveSet:
     xs = uniform_grid(config.grid_points)
     curves = []
     for n_idx, n in enumerate(config.n_values):
-        obs = simulate_data(truth, spectrum, n, _stream(config, n_idx, _DATA))
-        family = _fit_family(config, obs, spectrum)
-        post = posterior_spec(obs, spectrum, family)
-        curves.append(Curve("truth", n, 0, reconstruct(truth, xs).values))
+        post = _posterior(config, spectrum, truth, n, n_idx)
+        curves.append(Curve("truth", n, 0, reconstruct(truth, xs)))
         mean_curve = reconstruct(CoefficientSequence(post.mean), xs)
-        curves.append(Curve("mean", n, 0, mean_curve.values))
+        curves.append(Curve("mean", n, 0, mean_curve))
         if "lawmu" in laws:
-            est = radius_precise(
-                post, config.gamma, config.m_precise, _stream(config, n_idx, _PRECISE)
-            )
+            est = _precise_radius(config, post, n_idx)
             ball = build_credible_ball(post, est, config.blowup, config.gamma)
             a = config.lawmu_scale * est.value
             rng = _stream(config, n_idx, _LAWMU)
             for j in range(config.curve_count):
                 mu = draw_lawmu(ball.center, a, ball, rng, config.max_attempts)
-                curves.append(Curve("lawmu", n, j + 1, reconstruct(mu, xs).values))
+                curves.append(Curve("lawmu", n, j + 1, reconstruct(mu, xs)))
         if "posterior" in laws:
             rng = _stream(config, n_idx, _DRAWS)
             for j in range(config.curve_count):
                 draw = draw_posterior(post, rng)
-                curves.append(
-                    Curve("posterior", n, j + 1, reconstruct(draw, xs).values)
-                )
+                curves.append(Curve("posterior", n, j + 1, reconstruct(draw, xs)))
     return CurveSet(xs=xs, curves=curves)

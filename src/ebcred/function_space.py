@@ -2,30 +2,23 @@
 
 The signal-side singular functions of the integration operator are
 e_i(x) = sqrt(2) * cos((i - 1/2) * pi * x), the basis in which the
-sequence model lives.  Reconstruction maps a coefficient slice back to a
-curve for plotting and for sup-norm diagnostics.
+sequence model lives.  Reconstruction maps a coefficient slice back to
+curve values on a grid, for plotting.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sequence_model import CoefficientSequence
 
 __all__ = [
-    "FunctionGrid",
     "PLOT_GRID_POINTS",
-    "SUP_GRID_POINTS",
     "uniform_grid",
-    "basis_eval",
     "reconstruct",
-    "sup_distance",
 ]
 
 PLOT_GRID_POINTS = 512
-SUP_GRID_POINTS = 2048
 
 # Coefficient chunk width in reconstruct; bounds the basis matrix at
 # roughly grid_points * 2048 * 8 bytes.
@@ -43,22 +36,6 @@ def _valid_grid(xs) -> np.ndarray:
     return xs
 
 
-@dataclass
-class FunctionGrid:
-    """A curve sampled on a fixed grid in [0, 1]."""
-
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.xs = _valid_grid(self.xs)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.xs.shape:
-            raise ValueError("xs and values must share length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-
-
 def uniform_grid(points: int = PLOT_GRID_POINTS) -> np.ndarray:
     """Uniform grid on [0, 1] including both endpoints."""
     if points < 2:
@@ -66,22 +43,12 @@ def uniform_grid(points: int = PLOT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-def basis_eval(i: int, x):
-    """Basis function e_i(x) = sqrt(2) * cos((i - 1/2) * pi * x)."""
-    if i < 1:
-        raise ValueError("basis index must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("x must lie in [0, 1]")
-    out = np.sqrt(2.0) * np.cos((i - 0.5) * np.pi * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def reconstruct(theta: CoefficientSequence, xs) -> FunctionGrid:
+def reconstruct(theta: CoefficientSequence, xs) -> np.ndarray:
     """Partial sum f(x) = sum_i theta_i e_i(x) over the stored coefficients.
 
-    Basis columns are materialised in chunks so large i_max never builds
-    the full (grid x i_max) matrix.
+    Returns the values at the grid points xs.  Basis columns are
+    materialised in chunks so large i_max never builds the full
+    (grid x i_max) matrix.
     """
     xs = _valid_grid(xs)
     values = np.zeros(xs.size)
@@ -91,11 +58,4 @@ def reconstruct(theta: CoefficientSequence, xs) -> FunctionGrid:
         freq = (np.arange(start + 1, stop + 1, dtype=np.float64) - 0.5) * np.pi
         block = np.sqrt(2.0) * np.cos(np.outer(xs, freq))
         values += block @ coef[start:stop]
-    return FunctionGrid(xs=xs, values=values)
-
-
-def sup_distance(a: FunctionGrid, b: FunctionGrid) -> float:
-    """Grid maximum of |a - b|; a lower-bound surrogate for the true sup norm."""
-    if not np.array_equal(a.xs, b.xs):
-        raise ValueError("grids must coincide")
-    return float(np.max(np.abs(a.values - b.values)))
+    return values

@@ -49,6 +49,12 @@ _UNDERFLOW = 1e-300
 # mass past it is at most this fraction of the retained mass.
 TRUNCATION_RTOL = 1e-4
 
+# Tail terms truncation_tail_bound sums before its integral bound takes over.
+_TAIL_EXTENSION = 100_000
+# First level and tolerance of the doubling search in adequate_i_max.
+_ADEQUATE_START = 512
+_ADEQUATE_RTOL = 1e-5
+
 
 class TruncationWarning(UserWarning):
     """Truncation level looks too coarse for the requested accuracy."""
@@ -77,10 +83,6 @@ class CoefficientSequence:
     @property
     def i_max(self) -> int:
         return self.values.size
-
-    def norm(self) -> float:
-        """Euclidean norm of the stored slice."""
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass
@@ -161,11 +163,13 @@ class PriorFamily:
         if self.variant not in FREE_SCALAR:
             raise ValueError(f"unknown prior variant {self.variant!r}")
         scaled = self.variant == "scaled_power_law"
-        for name in ("alpha", "tau") if scaled else (FREE_SCALAR[self.variant],):
-            if getattr(self, name) is None or getattr(self, name) <= 0:
-                raise ValueError(f"{self.variant} requires {name} > 0")
-        if self.variant == "exponential" and self.lambda_exponent <= 0:
-            raise ValueError("lambda_exponent must be positive")
+        names = ("alpha", "tau") if scaled else (FREE_SCALAR[self.variant],)
+        if self.variant == "exponential":
+            names += ("lambda_exponent",)
+        for name in names:
+            value = getattr(self, name)
+            if value is None or not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{self.variant} requires a finite {name} > 0")
 
     @classmethod
     def power_law(cls, alpha: float) -> "PriorFamily":
@@ -434,28 +438,26 @@ def truncation_tail_bound(
     spectrum_label: str,
     n: float,
     i_max: int,
-    *,
-    extension: int = 100_000,
 ) -> float:
     """Upper bound on the posterior variance mass sum_{i > i_max} var_i.
 
     Coordinatewise var_i = 1/(1/v_i + n kappa_i**2) <= min(v_i, 1/(n kappa_i**2)).
-    The first `extension` tail terms are summed numerically, extending the
+    The first _TAIL_EXTENSION tail terms are summed numerically, extending the
     spectrum through SPECTRA when the label is registered there and falling
     back to the prior-only bound otherwise; the remainder past the extension is
     bounded by an integral comparison on the prior variances.
     """
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    i = np.arange(i_max + 1, i_max + extension + 1, dtype=np.float64)
+    if not (n > 0 and math.isfinite(n)):
+        raise ValueError("n must be a positive finite number")
+    i = np.arange(i_max + 1, i_max + _TAIL_EXTENSION + 1, dtype=np.float64)
     v = _variances_at(family, i)
     kappa = SPECTRA.get(spectrum_label)
     terms = v if kappa is None else np.minimum(v, 1.0 / (n * kappa(i) ** 2))
     total = float(np.sum(terms))
 
-    edge = float(i_max + extension)
+    edge = float(i_max + _TAIL_EXTENSION)
     if family.variant in ("power_law", "scaled_power_law"):
         scale = family.tau**2 if family.variant == "scaled_power_law" else 1.0
         # sum_{i > E} i**(-1-2a) <= int_E^inf x**(-1-2a) dx
@@ -479,23 +481,21 @@ def adequate_i_max(
     spectrum_label: str,
     n: float,
     *,
-    rel_tol: float = 1e-5,
-    start: int = 512,
     cap: int = 10_000,
 ) -> int:
     """Smallest power-of-two style truncation level passing the tail test.
 
-    Doubles i_max from `start` until the truncation tail bound drops below
-    rel_tol times the retained posterior variance mass, then returns that
-    level (capped at `cap`).  The default tolerance is a factor 10 stricter
-    than TRUNCATION_RTOL, so radii computed at the returned level are
-    unaffected by truncation at the reported precision.
+    Doubles i_max from _ADEQUATE_START until the truncation tail bound drops
+    below _ADEQUATE_RTOL times the retained posterior variance mass, then
+    returns that level (capped at `cap`).  That tolerance is a factor 10
+    stricter than TRUNCATION_RTOL, so radii computed at the returned level
+    are unaffected by truncation at the reported precision.
     """
-    m = min(start, cap)
+    m = min(_ADEQUATE_START, cap)
     while True:
         kappa = make_spectrum(spectrum_label, m).kappa
         retained = float(np.sum(posterior_variances(family, kappa, n)))
         tail = truncation_tail_bound(family, spectrum_label, n, m)
-        if tail <= rel_tol * retained or m >= cap:
+        if tail <= _ADEQUATE_RTOL * retained or m >= cap:
             return m
         m = min(2 * m, cap)

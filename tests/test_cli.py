@@ -291,6 +291,22 @@ def test_check_truncation_accepts_adequate_level(capsys, tmp_path):
     assert man["result"]["adequate"] is True
 
 
+def test_check_truncation_with_underflowing_prior_reports_ratio_0(capsys, tmp_path):
+    # exp(-1000 i**2) underflows for every i, so no variance is retained and
+    # none lies past i_max either
+    man = run_ok(
+        capsys,
+        ["check-truncation", "--variant", "exponential", "--t", "1000",
+         "--imax", "10", "--outdir", str(tmp_path)],
+    )
+    res = man["result"]
+    assert res["retained_variance"] == 0.0
+    assert res["tail_bound"] == 0.0
+    assert res["ratio"] == 0.0
+    assert res["adequate"] is True
+    assert json.loads((tmp_path / "truncation.json").read_text()) == res
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -317,6 +333,28 @@ def test_invalid_value_exits_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", "--alpha", "nan", "--imax", "10", "--m", "500"],
+        ["radius", "--alpha", "inf", "--imax", "10", "--m", "500"],
+        ["radius", "--variant", "scaled_power_law", "--tau", "inf", "--imax", "10"],
+        ["radius", "--variant", "exponential", "--t", "nan", "--imax", "10"],
+        ["radius", "--variant", "exponential", "--q", "nan", "--imax", "10"],
+        ["check-truncation", "--n", "nan"],
+        ["check-truncation", "--n", "inf"],
+    ],
+)
+def test_non_finite_hyperparameter_or_noise_level_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "untouched"
+    rc = cli.run(argv + ["--outdir", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_bad_imax_string_exits_2(capsys, tmp_path):

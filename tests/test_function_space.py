@@ -1,4 +1,4 @@
-"""Cosine basis, reconstruction on grids, sup-norm diagnostics."""
+"""Cosine basis and reconstruction on grids."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 import oracles
 from ebcred import (
     CoefficientSequence,
-    FunctionGrid,
     ObservationSequence,
     PriorFamily,
-    basis_eval,
     draw_gaussian_sequence,
     make_rng,
     posterior_spec,
     reconstruct,
-    sup_distance,
     uniform_grid,
     volterra_spectrum,
 )
@@ -24,33 +21,22 @@ from ebcred import (
 FAM1 = PriorFamily.power_law(1.0)
 
 
+def basis(i, xs):
+    """Basis function e_i on the grid xs: the curve of the i-th unit sequence."""
+    return reconstruct(CoefficientSequence(np.eye(i)[i - 1]), xs)
+
+
 def test_basis_endpoint_values():
-    assert basis_eval(1, 0.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert basis(1, [0.0])[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
     for i in range(1, 6):
         # cos((i - 1/2) pi) = 0 for every integer i
-        assert basis_eval(i, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_basis_eval_vectorised():
-    xs = np.array([0.0, 0.25, 1.0])
-    vals = basis_eval(2, xs)
-    assert vals.shape == (3,)
-    assert vals[0] == pytest.approx(np.sqrt(2.0))
-
-
-def test_basis_eval_validation():
-    with pytest.raises(ValueError):
-        basis_eval(0, 0.5)
-    with pytest.raises(ValueError):
-        basis_eval(1, -0.1)
-    with pytest.raises(ValueError):
-        basis_eval(1, 1.1)
+        assert basis(i, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_basis_orthonormality_by_simpson():
     """Composite Simpson on 2048 subintervals for all pairs i, j <= 20."""
     xs = np.linspace(0.0, 1.0, 2049)
-    funcs = [basis_eval(i, xs) for i in range(1, 21)]
+    funcs = [basis(i, xs) for i in range(1, 21)]
     for i in range(20):
         for j in range(i, 20):
             val = oracles.simpson_inner_product(funcs[i], funcs[j], xs)
@@ -65,26 +51,23 @@ def test_uniform_grid_contract():
         uniform_grid(1)
 
 
-def test_function_grid_validation():
-    with pytest.raises(ValueError):
-        FunctionGrid(xs=np.array([0.0, 0.5, 0.5]), values=np.zeros(3))
-    with pytest.raises(ValueError):
-        FunctionGrid(xs=np.array([0.0, 1.5]), values=np.zeros(2))
-    with pytest.raises(ValueError):
-        FunctionGrid(xs=np.array([0.0, 1.0]), values=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        FunctionGrid(xs=np.array([0.0, 1.0]), values=np.zeros(3))
+def test_reconstruct_grid_validation():
+    theta = CoefficientSequence(np.ones(3))
+    for xs in ([0.0, 0.5, 0.5], [0.0, 1.5], [-0.1, 0.5], [], np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            reconstruct(theta, xs)
 
 
 def test_reconstruct_single_coefficient_is_the_basis_function():
     xs = uniform_grid(64)
-    grid = reconstruct(CoefficientSequence(np.array([1.0])), xs)
-    np.testing.assert_allclose(grid.values, basis_eval(1, xs), atol=1e-14)
+    values = reconstruct(CoefficientSequence(np.array([1.0])), xs)
+    expected = np.sqrt(2.0) * np.cos(0.5 * np.pi * xs)
+    np.testing.assert_allclose(values, expected, atol=1e-14)
 
 
 def test_reconstruct_zero_sequence_is_zero():
-    grid = reconstruct(CoefficientSequence(np.zeros(10)), uniform_grid(16))
-    assert np.all(grid.values == 0.0)
+    values = reconstruct(CoefficientSequence(np.zeros(10)), uniform_grid(16))
+    assert np.all(values == 0.0)
 
 
 @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), seed=st.integers(0, 50))
@@ -95,9 +78,9 @@ def test_reconstruct_is_linear(a, b, seed):
     eta = rng.normal(size=20)
     xs = uniform_grid(33)
     mixed = reconstruct(CoefficientSequence(a * theta + b * eta), xs)
-    parts = a * reconstruct(CoefficientSequence(theta), xs).values
-    parts += b * reconstruct(CoefficientSequence(eta), xs).values
-    np.testing.assert_allclose(mixed.values, parts, atol=1e-10)
+    parts = a * reconstruct(CoefficientSequence(theta), xs)
+    parts += b * reconstruct(CoefficientSequence(eta), xs)
+    np.testing.assert_allclose(mixed, parts, atol=1e-10)
 
 
 def test_reconstruct_chunking_matches_dense_computation():
@@ -105,10 +88,10 @@ def test_reconstruct_chunking_matches_dense_computation():
     rng = make_rng(14)
     theta = rng.normal(size=3000) * np.arange(1, 3001, dtype=np.float64) ** -1.5
     xs = uniform_grid(17)
-    grid = reconstruct(CoefficientSequence(theta), xs)
+    values = reconstruct(CoefficientSequence(theta), xs)
     freq = (np.arange(1, 3001, dtype=np.float64) - 0.5) * np.pi
     dense = np.sqrt(2.0) * np.cos(np.outer(xs, freq)) @ theta
-    np.testing.assert_allclose(grid.values, dense, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(values, dense, rtol=1e-12, atol=1e-12)
 
 
 def test_reconstruct_values_stable_under_grid_refinement():
@@ -117,7 +100,7 @@ def test_reconstruct_values_stable_under_grid_refinement():
     theta = CoefficientSequence(make_rng(15).normal(size=40))
     coarse = reconstruct(theta, uniform_grid(5))
     fine = reconstruct(theta, uniform_grid(9))
-    assert np.array_equal(coarse.values, fine.values[::2])
+    assert np.array_equal(coarse, fine[::2])
 
 
 def test_parseval_identity_on_a_decaying_sequence():
@@ -126,19 +109,8 @@ def test_parseval_identity_on_a_decaying_sequence():
     theta = i**-2.0
     xs = np.linspace(0.0, 1.0, 8193)
     f = reconstruct(CoefficientSequence(theta), xs)
-    integral = oracles.simpson_inner_product(f.values, f.values, xs)
+    integral = oracles.simpson_inner_product(f, f, xs)
     assert integral == pytest.approx(float(np.sum(theta**2)), rel=1e-6)
-
-
-def test_sup_distance_basics():
-    xs = uniform_grid(16)
-    a = FunctionGrid(xs=xs, values=np.zeros(16))
-    b = FunctionGrid(xs=xs, values=np.full(16, 0.75))
-    assert sup_distance(a, a) == 0.0
-    assert sup_distance(a, b) == 0.75
-    other = FunctionGrid(xs=uniform_grid(17), values=np.zeros(17))
-    with pytest.raises(ValueError):
-        sup_distance(a, other)
 
 
 def test_posterior_sup_tube_shrinks_with_n():
@@ -154,10 +126,10 @@ def test_posterior_sup_tube_shrinks_with_n():
         xs = uniform_grid(1024)
         mean_f = reconstruct(CoefficientSequence(post.mean), xs)
         rng = make_rng(seed, stream=21)
-        sups = [
-            sup_distance(reconstruct(draw_gaussian_sequence(post.mean, post.var, rng), xs), mean_f)
-            for _ in range(400)
-        ]
+        sups = []
+        for _ in range(400):
+            draw = draw_gaussian_sequence(post.mean, post.var, rng)
+            sups.append(np.max(np.abs(reconstruct(draw, xs) - mean_f)))
         return float(np.quantile(sups, 0.99))
 
     assert q99(1_000_000.0, 31) < 0.7 * q99(1000.0, 31)
