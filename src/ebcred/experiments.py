@@ -8,7 +8,7 @@ isolation and parallel execution cannot change results.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +71,11 @@ TRUTHS = ("power", "zero", "custom")
 CURVE_LAWS = ("posterior", "lawmu", "both")
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by all experiment harnesses; defaults follow the studies.
@@ -108,57 +113,41 @@ class ExperimentConfig:
         object.__setattr__(
             self, "search_interval", tuple(float(v) for v in self.search_interval)
         )
-        if not self.n_values or any(v <= 0 for v in self.n_values):
-            raise ValueError("n_values must be positive")
+        if not self.n_values:
+            raise ValueError("n_values must be nonempty")
+        for v in self.n_values:
+            _check_positive_finite("n_values", v)
         if not self.draw_counts or any(c < 1 for c in self.draw_counts):
             raise ValueError("draw_counts must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.blowup <= 0:
-            raise ValueError("blowup must be positive")
+        _check_positive_finite("blowup", self.blowup)
         if self.spectrum not in SPECTRA:
             raise ValueError(f"spectrum must be one of {tuple(SPECTRA)}")
         if self.i_max < 1:
             raise ValueError("i_max must be >= 1")
         if self.prior_variant not in FREE_SCALAR:
             raise ValueError(f"prior_variant must be one of {tuple(FREE_SCALAR)}")
-        if self.fixed_hyperparameter is not None and self.fixed_hyperparameter <= 0:
-            raise ValueError("fixed_hyperparameter must be positive or None")
-        if self.scaled_alpha <= 0 or self.lambda_exponent <= 0:
-            raise ValueError("scaled_alpha and lambda_exponent must be positive")
+        if self.fixed_hyperparameter is not None:
+            _check_positive_finite("fixed_hyperparameter", self.fixed_hyperparameter)
+        _check_positive_finite("scaled_alpha", self.scaled_alpha)
+        _check_positive_finite("lambda_exponent", self.lambda_exponent)
         lo, hi = self.search_interval
-        if not (0 < lo < hi):
-            raise ValueError("search_interval must satisfy 0 < lo < hi")
+        if not (0 < lo < hi and math.isfinite(hi)):
+            raise ValueError("search_interval must satisfy 0 < lo < hi < inf")
         if self.truth_name not in TRUTHS:
             raise ValueError(f"truth_name must be one of {TRUTHS}")
         if self.m_precise < 2:
             raise ValueError("m_precise must be >= 2")
         if self.curve_count < 1 or self.grid_points < 2:
             raise ValueError("curve_count >= 1 and grid_points >= 2 required")
-        if self.lawmu_scale <= 0:
-            raise ValueError("lawmu_scale must be positive")
+        _check_positive_finite("lawmu_scale", self.lawmu_scale)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["n_values"] = list(self.n_values)
-        out["draw_counts"] = list(self.draw_counts)
-        out["search_interval"] = list(self.search_interval)
-        out["truth_params"] = dict(self.truth_params)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
-        return cls(**data)
 
 
 def _stream(config: ExperimentConfig, *key: int) -> np.random.Generator:

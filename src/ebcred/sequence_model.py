@@ -384,8 +384,8 @@ def eb_fit(
     point evaluated along the way.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (lo > 0 and hi > lo):
-        raise ValueError("search interval must satisfy 0 < lo < hi")
+    if not (lo > 0 and hi > lo and math.isfinite(hi)):
+        raise ValueError("search interval must satisfy 0 < lo < hi < inf")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     if variant == "scaled_power_law" and (alpha is None or alpha <= 0):

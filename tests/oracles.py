@@ -2,9 +2,10 @@
 
 Nothing here reuses the package's posterior algebra: moments come from
 importance sampling, marginal densities from adaptive quadrature, inner
-products from composite Simpson rules, radius quantiles from a normal
-approximation to the squared norm, and recentred radii from full draws of
-every coordinate in float64. Slow and simple on purpose.
+products from composite Simpson rules, curve values from the dense cosine
+sum, radius quantiles from a normal approximation to the squared norm, and
+recentred radii from full draws of every coordinate in float64. Slow and
+simple on purpose.
 """
 
 import numpy as np
@@ -59,6 +60,12 @@ def marginal_log_likelihood_quad(y, kappa, n, prior_var):
 def simpson_inner_product(f_values, g_values, xs):
     """Composite Simpson integral of f*g over the grid."""
     return float(integrate.simpson(f_values * g_values, x=xs))
+
+
+def dense_cosine_sum(theta, xs):
+    """sum_i theta_i sqrt(2) cos((i - 1/2) pi x) at every x, one cosine per term."""
+    freq = (np.arange(1, len(theta) + 1, dtype=np.float64) - 0.5) * np.pi
+    return np.sqrt(2.0) * np.cos(np.outer(xs, freq)) @ np.asarray(theta, dtype=np.float64)
 
 
 def radius_quantile_normal_approx(variances, gamma):

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ebcred import cli
+import oracles
+from ebcred import cli, make_truth
 
 
 def run_ok(capsys, argv):
@@ -264,6 +265,21 @@ def test_curves_csv_floats_round_trip(capsys, tmp_path):
     assert np.array_equal(xs, np.linspace(0.0, 1.0, 64))
 
 
+def test_curves_truth_rows_are_the_dense_cosine_sum(capsys, tmp_path):
+    run_ok(
+        capsys,
+        ["curves", "--n", "1000", "--count", "1", "--alpha", "1", "--imax", "300",
+         "--m", "1000", "--grid-points", "33", "--outdir", str(tmp_path)],
+    )
+    rows = [line.split(",") for line in (tmp_path / "curves.csv").read_text().splitlines()[1:]]
+    truth = [row for row in rows if row[0] == "truth"]
+    xs = np.array([float(row[3]) for row in truth])
+    values = np.array([float(row[4]) for row in truth])
+    assert np.array_equal(xs, np.linspace(0.0, 1.0, 33))
+    dense = oracles.dense_cosine_sum(make_truth("power", {}, 300).values, xs)
+    np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12)
+
+
 # --------------------------------------------------------- check-truncation
 
 
@@ -354,6 +370,23 @@ def test_non_finite_hyperparameter_or_noise_level_exits_2(capsys, tmp_path, argv
     assert rc == 2
     assert "error:" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["rate", "--n", "1e3,inf", "--reps", "1", "--imax", "64", "--m", "1000"], "n_values"),
+        (["eb-fit", "--search", "0.01", "inf", "--imax", "64"], "search interval"),
+        (["curves", "--lawmu-scale", "nan", "--imax", "64", "--m", "1000"], "lawmu_scale"),
+    ],
+)
+def test_non_finite_setting_exits_2_naming_it(capsys, tmp_path, argv, field):
+    out = tmp_path / "untouched"
+    rc = cli.run(argv + ["--outdir", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert field in captured.err
     assert not out.exists()
 
 

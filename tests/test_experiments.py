@@ -415,25 +415,6 @@ def test_lawmu_curves_wiggle_more_than_posterior_curves():
 # ------------------------------------------------------------------ config
 
 
-def test_config_round_trips_through_dict():
-    cfg = ExperimentConfig(
-        n_values=(10.0, 100.0),
-        draw_counts=(5,),
-        repetitions=2,
-        truth_params={"beta": 2.0},
-        master_seed=13,
-    )
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-
-
-def test_config_rejects_unknown_fields():
-    data = ExperimentConfig().to_dict()
-    data["bogus"] = 1
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict(data)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(gamma=1.5)
@@ -455,3 +436,22 @@ def test_config_validation():
         ExperimentConfig(lawmu_scale=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(m_precise=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_values", (1000.0, float("inf"))),
+        ("n_values", (float("nan"),)),
+        ("blowup", float("nan")),
+        ("blowup", float("inf")),
+        ("scaled_alpha", float("nan")),
+        ("lambda_exponent", float("inf")),
+        ("fixed_hyperparameter", float("nan")),
+        ("lawmu_scale", float("nan")),
+        ("search_interval", (0.01, float("inf"))),
+    ],
+)
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})

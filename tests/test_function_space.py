@@ -27,10 +27,11 @@ def basis(i, xs):
 
 
 def test_basis_endpoint_values():
-    assert basis(1, [0.0])[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    ends = uniform_grid(2)
+    assert basis(1, ends)[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
     for i in range(1, 6):
         # cos((i - 1/2) pi) = 0 for every integer i
-        assert basis(i, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
+        assert basis(i, ends)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_basis_orthonormality_by_simpson():
@@ -53,7 +54,8 @@ def test_uniform_grid_contract():
 
 def test_reconstruct_grid_validation():
     theta = CoefficientSequence(np.ones(3))
-    for xs in ([0.0, 0.5, 0.5], [0.0, 1.5], [-0.1, 0.5], [], np.zeros((2, 2))):
+    bad = ([0.0, 0.5, 0.5], [0.0, 1.5], [-0.1, 0.5], [], np.zeros((2, 2)), [0.0, 0.3, 1.0])
+    for xs in bad:
         with pytest.raises(ValueError):
             reconstruct(theta, xs)
 
@@ -83,24 +85,27 @@ def test_reconstruct_is_linear(a, b, seed):
     np.testing.assert_allclose(mixed, parts, atol=1e-10)
 
 
-def test_reconstruct_chunking_matches_dense_computation():
-    # i_max beyond the internal chunk width exercises the blocked path
+@pytest.mark.parametrize("points", [2, 3, 17, 512])
+def test_reconstruct_matches_dense_cosine_sum(points):
+    # i_max around 2N = 2 (points - 1) wraps the fold round once
+    period = 2 * (points - 1)
     rng = make_rng(14)
-    theta = rng.normal(size=3000) * np.arange(1, 3001, dtype=np.float64) ** -1.5
-    xs = uniform_grid(17)
-    values = reconstruct(CoefficientSequence(theta), xs)
-    freq = (np.arange(1, 3001, dtype=np.float64) - 0.5) * np.pi
-    dense = np.sqrt(2.0) * np.cos(np.outer(xs, freq)) @ theta
-    np.testing.assert_allclose(values, dense, rtol=1e-12, atol=1e-12)
+    xs = uniform_grid(points)
+    for i_max in (1, 5, period - 1, period, period + 1, 3000):
+        theta = rng.normal(size=i_max) * np.arange(1, i_max + 1, dtype=np.float64) ** -1.5
+        values = reconstruct(CoefficientSequence(theta), xs)
+        dense = oracles.dense_cosine_sum(theta, xs)
+        tol = 1e-12 * max(1.0, float(np.sum(np.abs(theta))))
+        np.testing.assert_allclose(values, dense, rtol=0, atol=tol)
 
 
 def test_reconstruct_values_stable_under_grid_refinement():
-    # the coarse grid is a subset of the fine one, so shared points must
-    # evaluate to bitwise identical values
+    # the coarse grid is a subset of the fine one, so shared points agree
+    # to rounding
     theta = CoefficientSequence(make_rng(15).normal(size=40))
     coarse = reconstruct(theta, uniform_grid(5))
     fine = reconstruct(theta, uniform_grid(9))
-    assert np.array_equal(coarse, fine[::2])
+    np.testing.assert_allclose(coarse, fine[::2], rtol=0, atol=1e-13)
 
 
 def test_parseval_identity_on_a_decaying_sequence():

@@ -299,6 +299,8 @@ def test_eb_fit_rejects_bad_search_setup():
         eb_fit(obs, spec, search_interval=(0.0, 1.0))
     with pytest.raises(ValueError):
         eb_fit(obs, spec, search_interval=(2.0, 1.0))
+    with pytest.raises(ValueError, match="search interval"):
+        eb_fit(obs, spec, search_interval=(0.01, float("inf")))
     with pytest.raises(ValueError):
         eb_fit(obs, spec, grid_points=2)
 
