@@ -35,6 +35,7 @@ from .samplers import (
     lawmu_scales,
     make_rng,
     recentered_radii,
+    squared_normals,
 )
 from .sequence_model import (
     CoefficientSequence,

@@ -255,22 +255,31 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
 # output helpers
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+def _cell_format(kind: type) -> str:
+    # bool is an int, and "%d" % True is "1"; numpy bools are not, and print as True
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
 
 
 def emit_csv(path, header: list[str], rows: list[tuple]) -> None:
-    """Plain numeric CSV; floats carry 17 significant digits."""
+    """Plain numeric CSV; floats carry 17 significant digits, bools print as 1 or 0.
+
+    Each row is formatted with one %-format built from its own cell types,
+    so a column whose types vary never goes through another type's format.
+    """
     if not rows:
         raise ValueError("dataset must be nonempty")
+    formats = {}
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(fmt % tuple(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

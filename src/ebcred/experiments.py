@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .credible_set import (
     RadiusEstimate,
@@ -213,6 +212,9 @@ def make_truth(name: str, params: dict | None, i_max: int) -> CoefficientSequenc
     if name == "zero":
         return CoefficientSequence(np.zeros(i_max))
     if name == "power":
+        # imported here: scipy.special would otherwise be most of the package's import time
+        from scipy.special import zeta
+
         beta = float(params.get("beta", 1.0))
         if beta <= 0:
             raise ValueError("beta must be positive")

@@ -21,14 +21,19 @@ __all__ = [
     "draw_posterior",
     "HeadTailSplit",
     "head_tail_split",
+    "squared_normals",
     "recentered_radii",
     "lawmu_scales",
     "draw_lawmu",
 ]
 
-# Draw matrices are streamed through one buffer of roughly this many bytes
-# so the peak footprint stays flat no matter how many radii are requested.
-_BLOCK_BYTES = 1 << 22
+# Draw matrices are streamed through one buffer, with the sampler's scratch,
+# of roughly this many bytes, so the peak footprint stays flat no matter how
+# many radii are requested.
+_BLOCK_BYTES = 1 << 20
+
+# Maps a 32-bit integer v to the angle 2 pi v / 2**32 in float32.
+_ANGLE_STEP = np.float32(2.0 * np.pi / 2.0**32)
 
 # Bound on the dropped tail's sd, as a fraction of the sd of the squared norm
 # over sqrt(m); see head_tail_split.
@@ -101,7 +106,8 @@ class HeadTailSplit:
     """Which coordinates recentered_radii simulates and what it adds for the rest.
 
     head holds the indices of the simulated coordinates, largest variance
-    first; recentered_radii draws the head's normals in that order.
+    first; they are the columns, in that order, of the matrix of squared
+    normals that recentered_radii draws.
     tail_mean is the exact mean sum var_i of the dropped coordinates'
     contribution to the squared norm, and tail_sd = sqrt(2 sum var_i**2)
     is its standard deviation, the size of the fluctuation left out.
@@ -129,7 +135,8 @@ def head_tail_split(variances, m: int) -> HeadTailSplit:
     quantile of the squared norm estimated from m draws (about 2.1 times it
     for the 95% quantile), so the tail's fluctuation is about 5% of that
     error, and replacing it by its mean shifts the quantile only at second
-    order.  Flat variances keep every coordinate.
+    order.  k equal variances drop at most 0.01 k / m of them, so fewer
+    than 100 m keep every coordinate.
     """
     variances = np.asarray(variances, dtype=np.float64)
     if variances.ndim != 1 or variances.size == 0:
@@ -155,38 +162,83 @@ def head_tail_split(variances, m: int) -> HeadTailSplit:
     )
 
 
+def _fill_squared_normals(rng: np.random.Generator, flat: np.ndarray) -> None:
+    """Fill the 1-d float32 array flat with iid chi-square(1) variates; see squared_normals."""
+    # PCG64's raw outputs (random_raw) for the package's generators; unlike
+    # random_raw, this also gives whole 64-bit words from 32-bit MT19937
+    words = rng.integers(0, 2**64, (flat.size + 1) // 2, dtype=np.uint64)
+    halves = words.view(np.uint32).reshape(-1, 2)
+    # E = -log u is Exp(1), with u = (first half + 1) / 2**32 in (0, 1]
+    e = np.add(halves[:, 0], 1.0, dtype=np.float32, casting="unsafe")
+    e *= 2.0**-32
+    np.log(e, out=e)
+    np.negative(e, out=e)
+    # E C with C = cos(2 pi v), v = second half / 2**32; |C| <= 1 keeps both members >= 0
+    c = np.multiply(halves[:, 1], _ANGLE_STEP, dtype=np.float32, casting="unsafe")
+    np.cos(c, out=c)
+    c *= e
+    np.add(e, c, out=flat[0::2])
+    second = flat.size // 2
+    np.subtract(e[:second], c[:second], out=flat[1::2])
+
+
+def squared_normals(rng, shape) -> np.ndarray:
+    """Float32 array of iid chi-square(1) variates, the squares of standard normals.
+
+    Each 64-bit word of the generator gives one pair, as in a squared
+    Box-Muller transform: its two 32-bit halves make u in (0, 1] and v in
+    [0, 1), E = -log u is Exp(1) and C = cos(2 pi v), and E (1 + C) and
+    E (1 - C) are two independent chi-square(1) draws, computed in float32.
+    They fill the array in flat (row-major) order: the variate at flat
+    position p is member p % 2 of word p // 2, so it depends only on the
+    generator and on p, and an odd size leaves one member unused.
+
+    Every variate is finite and at least 0, and none exceeds
+    -2 log 2**-32 = 64 log 2, about 44.36 (u >= 2**-32); a chi-square(1)
+    variate exceeds that with probability about 3e-11.  float32 log and
+    cos run in SIMD code chosen by CPU, so the bits can differ between
+    numpy versions and CPUs, never between reruns on one machine.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    _fill_squared_normals(make_rng(rng), out.reshape(-1))
+    return out
+
+
 def recentered_radii(variances, m: int, rng, *, block_bytes: int = _BLOCK_BYTES) -> np.ndarray:
     """Norms of m independent draws from the centred law  ⊗_i N(0, var_i).
 
     Returns a float64 vector of the m Euclidean norms.  Only the head
     coordinates chosen by head_tail_split are simulated; the squared norm
-    of each draw is their sum var_i Z_i**2 plus the tail's exact mean,
-    added in float64.  When no tail is dropped the draws are the full law,
-    and flat variances reproduce the full float32 draw bit for bit.
+    of each draw is their sum var_i X_i, with X_i iid chi-square(1)
+    variates (squared normals), plus the tail's exact mean, added in
+    float64.  When no tail is dropped the draws are the full law.
 
-    Head normals are drawn in float32, in head order, into one buffer of
-    about block_bytes that is reused for every block of draws, and reduced
-    with a single-threaded einsum, so the result does not depend on BLAS
-    threading or on block_bytes and the footprint stays flat whatever m and
-    the head size are.  The float32 accumulation over the head stays within
-    2e-6 relative of a float64 sum of the same normals for heads of up to
-    several thousand coordinates (measured 2.5e-7 at 44, 9.6e-7 at 1201,
-    1.8e-6 at 5510); the error grows with the head size, to 2.3e-6 at about
-    1e4 coordinates and 4.6e-6 for 1e5 flat ones.  All of these are far
-    below the Monte Carlo noise of any quantile taken from the norms.
+    The m x k head matrix of the X_i (columns in head order) is
+    squared_normals(rng, (m, k)), made block by block into one reused
+    float32 buffer and reduced with a single-threaded einsum.  Blocks hold
+    an even number of rows, so each but the last starts on a fresh word;
+    the result thus depends neither on block_bytes nor on BLAS threading,
+    and buffer plus sampler scratch stay near block_bytes (or two rows, if
+    larger) whatever m is.  Relative to a float64 sum of the same variates,
+    the float32 accumulation over the head is off by at most 3.0e-7 at 44
+    coordinates, 1.1e-6 at 1201 and 2.2e-6 at 5510 (largest over 20 x 1e4
+    draws), 3.0e-6 at 9983 (4 x 1e4 draws) and 5.4e-6 for 1e5 flat ones
+    (3 x 2000 draws).  All of these are far below the Monte Carlo noise of
+    any quantile taken from the norms.
     """
     split = head_tail_split(variances, m)
     rng = make_rng(rng)
 
     k = split.head_size
     w = np.asarray(variances, dtype=np.float64)[split.head].astype(np.float32)
-    block = min(m, max(1, block_bytes // (max(k, 1) * 4)))
+    # 4 bytes of buffer and 8 of sampler scratch per variate
+    rows = max(2, block_bytes // (12 * max(k, 1))) // 2 * 2
+    block = min(m, rows)
     buf = np.empty((block, k), dtype=np.float32)
     out = np.empty(m, dtype=np.float64)
     for start in range(0, m, block):
         z = buf[: min(block, m - start)]
-        rng.standard_normal(out=z, dtype=np.float32)
-        np.multiply(z, z, out=z)
+        _fill_squared_normals(rng, z.reshape(-1))
         out[start:start + z.shape[0]] = np.einsum("ij,j->i", z, w, dtype=np.float32)
     out += split.tail_mean
     return np.sqrt(out)

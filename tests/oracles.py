@@ -3,13 +3,19 @@
 Nothing here reuses the package's posterior algebra: moments come from
 importance sampling, marginal densities from adaptive quadrature, inner
 products from composite Simpson rules, curve values from the dense cosine
-sum, radius quantiles from a normal approximation to the squared norm, and
-recentred radii from full draws of every coordinate in float64. Slow and
-simple on purpose.
+sum, radius quantiles from a normal approximation to the squared norm,
+recentred radii from full draws of every coordinate in float64, and the
+fp/fn count bound from the binomial law of the counts. Slow and simple on
+purpose. The one package piece used here is the chi-square(1) sampler,
+whose law tests/test_samplers.py checks on its own.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate, stats
+
+from ebcred import squared_normals
 
 
 def posterior_moments_is(y, kappa, n, prior_var, samples, seed):
@@ -87,24 +93,61 @@ def full_draw_radii(variances, head, m, head_rng, tail_rng, chunk=500):
     """Norms of m draws from the centred law N(0, diag(variances)), all coordinates drawn.
 
     Squared norms sum var_i * z_i**2 over every coordinate in float64. The
-    coordinates listed in `head` take float32 normals from head_rng, drawn
-    row by row over the head in the order listed, as the package's radii
-    engine draws them, so both see identical normals there; every other
-    coordinate takes fresh float64 normals from tail_rng.
+    coordinates listed in `head` take float32 squared normals from
+    head_rng, drawn row by row over the head in the order listed, as the
+    package's radii engine draws them, so both see identical variates
+    there (chunk is even, so each chunk starts a fresh pair of variates);
+    every other coordinate takes fresh float64 normals from tail_rng.
     """
+    if chunk % 2:
+        raise ValueError("chunk must be even")
     variances = np.asarray(variances, dtype=np.float64)
     head = np.asarray(head)
     tail = np.setdiff1d(np.arange(variances.size), head)
     sq = []
     for start in range(0, m, chunk):
         b = min(chunk, m - start)
-        z_head = head_rng.standard_normal((b, head.size), dtype=np.float32)
+        x_head = squared_normals(head_rng, (b, head.size))
         z_tail = tail_rng.standard_normal((b, tail.size))
         sq.append(
-            np.sum(variances[head] * z_head.astype(np.float64) ** 2, axis=1)
+            np.sum(variances[head] * x_head.astype(np.float64), axis=1)
             + np.sum(variances[tail] * z_tail**2, axis=1)
         )
     return np.sqrt(np.concatenate(sq))
+
+
+def fpfn_count_bound(draw_counts, repetitions, m_precise, gamma, cells, alarm, grid=4000):
+    """Smallest c with P(some fp or fn count > c) <= alarm over a fixed-prior fp/fn run.
+
+    Let P be the precise radius, the j-th of m_precise recentred norms
+    (j = floor((1 - gamma) m_precise)), and B the number of a row's N norms
+    at or below P, with k = floor((1 - gamma) N) the built-in order
+    statistic. Then fp = (k - B)+ and fn = (B - k)+, so the row's larger
+    count is |B - k|. Given P, B ~ Binomial(N, F(P)) with F the law's CDF,
+    and F(P) ~ Beta(j, m_precise + 1 - j) exactly, being the CDF at the j-th
+    order statistic of a continuous law. One P serves every row of a cell
+    (each of `cells` values of n, independent of each other), so
+
+        P(no count > c) = (E_p[prod_N P(|B_N - k_N| <= c | p) ** repetitions]) ** cells,
+
+    with the expectation over the Beta law taken on `grid` midpoint
+    quantiles. Nothing here depends on the spectrum, n or the prior. (The
+    radii engine draws the N and the m_precise norms with head sizes fitted
+    to each sample size; the CDFs differ only at second order in the
+    dropped tail's sd, far below the binomial spread.)
+    """
+    j = math.floor((1.0 - gamma) * m_precise)
+    p = stats.beta(j, m_precise + 1 - j).ppf((np.arange(grid) + 0.5) / grid)
+    c = 0
+    while True:
+        inside = np.ones_like(p)
+        for N in draw_counts:
+            k = math.floor((1.0 - gamma) * N)
+            law = stats.binom(N, p)
+            inside *= (law.cdf(k + c) - law.cdf(k - c - 1)) ** repetitions
+        if 1.0 - np.mean(inside) ** cells <= alarm:
+            return c
+        c += 1
 
 
 def lawmu_squared_scale_bound(limit=10**7):

@@ -106,8 +106,16 @@ def test_criterion_3_fpfn_comparison_table(capsys):
 
     n = 1e3 must finish inside 120 s; both n must show at least one cell
     with nonzero conditional means on both sides, occurrence percentages
-    strictly inside (0, 100), and no count above 30.
+    strictly inside (0, 100), and no row with both fp > 0 and fn > 0,
+    which the law of the counts rules out exactly. No count may exceed the
+    bound that the binomial law of the counts, with the Monte Carlo error
+    of the shared precise radius, puts at a false-alarm rate of 1e-3 for
+    this run (41; see oracles.fpfn_count_bound).
     """
+    count_bound = oracles.fpfn_count_bound(
+        draw_counts=(500, 2000), repetitions=10, m_precise=100_000, gamma=0.05,
+        cells=2, alarm=1e-3,
+    )
     reports = {}
     t0 = time.perf_counter()
     reports[1e3] = fpfn_experiment(ExperimentConfig(
@@ -122,12 +130,14 @@ def test_criterion_3_fpfn_comparison_table(capsys):
         master_seed=0,
     ))
     max_count = 0
+    rows_fp_and_fn = 0
     both_sides = 0
     interior = 0
     lines = []
     for rep in reports.values():
         for row in rep.rows:
             max_count = max(max_count, row.fp, row.fn)
+            rows_fp_and_fn += row.fp > 0 and row.fn > 0
         for cell in rep.cells:
             if cell.mean_fp_conditional > 0 and cell.mean_fn_conditional > 0:
                 both_sides += 1
@@ -145,12 +155,14 @@ def test_criterion_3_fpfn_comparison_table(capsys):
         wall_small < 120.0
         and both_sides >= 1
         and interior >= 1
-        and max_count <= 30
+        and max_count <= count_bound
+        and rows_fp_and_fn == 0
     )
     report(
         capsys, 3, "fp/fn comparison table", ok,
         f"wall(n=1e3)={wall_small:.1f}s<120, cells with both sides={both_sides}, "
-        f"interior occurrence={interior}, max count={max_count}<=30; "
+        f"interior occurrence={interior}, max count={max_count}<={count_bound}, "
+        f"rows with fp>0 and fn>0={rows_fp_and_fn}; "
         + "; ".join(lines),
     )
 

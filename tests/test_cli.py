@@ -1,6 +1,8 @@
 """Command line interface: config resolution, outputs, exit codes, manifest."""
 
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -462,3 +464,43 @@ def test_emit_csv_float_format_round_trips(tmp_path):
     lines = path.read_text().splitlines()
     assert [float(s) for s in lines[1:]] == [0.1, 1.0 / 3.0]
     assert lines[1] == "0.10000000000000001"
+
+
+def _reference_cell(v) -> str:
+    """The per-cell formatter emit_csv used before it formatted whole rows."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def test_emit_csv_matches_per_cell_formatting(tmp_path):
+    rows = [
+        (True, np.bool_(True), 3, np.int64(-7), 0.1, np.float32(0.1), "law", None),
+        (False, np.bool_(False), 0, np.int64(2**62), float("nan"), np.float32(-0.0),
+         "", None),
+        (1, np.bool_(True), -2, np.uint64(2**64 - 1), float("inf"), float("-inf"),
+         "x", None),
+        # the same columns with other types: 3.5 must not print as "%d" would
+        (3.5, 2, 1.0, -0.0, 7, True, 1e300, 5e-324),
+        (None, "s", np.float64(2.5), np.int32(4), np.bool_(False), "t", 1, 0.0),
+    ]
+    path = tmp_path / "x.csv"
+    cli.emit_csv(path, [f"c{i}" for i in range(8)], rows)
+    expected = [",".join(f"c{i}" for i in range(8))]
+    expected += [",".join(_reference_cell(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text().splitlines()[4].startswith("3.5,2,1,-0,7,1,")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.special was most of the import time; only the power truth needs it."""
+    code = "import sys, ebcred.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

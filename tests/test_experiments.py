@@ -154,14 +154,14 @@ def test_fpfn_report_shape_and_frozen_cells():
     assert len(report.cells) == 2
     by_N = {c.N: c for c in report.cells}
     c100, c200 = by_N[100], by_N[200]
-    assert c100.occurrence_fp_pct == pytest.approx(200.0 / 3.0)
+    assert c100.occurrence_fp_pct == pytest.approx(100.0 / 3.0)
     assert c100.occurrence_fn_pct == pytest.approx(100.0 / 3.0)
-    assert c100.mean_fp_conditional == 1.5
-    assert c100.mean_fn_conditional == 1.0
-    assert c200.occurrence_fp_pct == pytest.approx(100.0)
-    assert c200.occurrence_fn_pct == pytest.approx(0.0)
-    assert c200.mean_fp_conditional == pytest.approx(11.0 / 3.0)
-    assert c200.mean_fn_conditional == 0.0
+    assert c100.mean_fp_conditional == 1.0
+    assert c100.mean_fn_conditional == 3.0
+    assert c200.occurrence_fp_pct == pytest.approx(100.0 / 3.0)
+    assert c200.occurrence_fn_pct == pytest.approx(100.0 / 3.0)
+    assert c200.mean_fp_conditional == 6.0
+    assert c200.mean_fn_conditional == 1.0
     for row in report.rows:
         assert row.threshold_builtin > 0
         assert row.radius_precise > 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from ebcred import (
@@ -27,9 +28,11 @@ from ebcred import (
     prior_variance,
     radius_precise,
     recentered_radii,
+    squared_normals,
     volterra_spectrum,
 )
 from ebcred.credible_set import _order_statistic_index, _quantile_std_error
+from ebcred.samplers import _fill_squared_normals
 
 FAM1 = PriorFamily.power_law(1.0)
 
@@ -119,6 +122,87 @@ def test_draw_moments_and_independence():
         assert abs(cov) <= 4.0 * se
 
 
+# ------------------------------------------------- chi-square(1) sampler
+
+# Law tests below run at fixed seeds; each KS test asks p > 1e-4, so a
+# correct sampler fails one at a fresh seed with probability 1e-4, and each
+# moment check sits at 5 standard errors (two-sided 5.7e-7 under a normal
+# approximation).
+CHI2_SIZE = 1 << 21
+
+
+@pytest.fixture(scope="module")
+def chi2_sample():
+    return squared_normals(make_rng(2026), CHI2_SIZE)
+
+
+@pytest.mark.parametrize("member", [0, 1], ids=["first", "second"])
+def test_squared_normals_members_are_chi2_1(chi2_sample, member):
+    """KS test of each member of the pairs, 2**20 variates each, against chi-square(1)."""
+    x = chi2_sample[member::2].astype(np.float64)
+    assert x.size == 1 << 20
+    assert stats.kstest(x, stats.chi2(1).cdf).pvalue > 1e-4
+
+
+def test_squared_normals_moments_and_pair_independence(chi2_sample):
+    """Mean 1, variance 2 and, within a pair, E[ab] = 1, each within 5 se."""
+    x = chi2_sample.astype(np.float64)
+    size = x.size
+    assert abs(x.mean() - 1.0) <= 5.0 * np.sqrt(2.0 / size)
+    # the fourth central moment of chi-square(1) is 60
+    assert abs(x.var() - 2.0) <= 5.0 * np.sqrt(56.0 / size)
+    # independent a, b: Var(ab) = E[a^2] E[b^2] - 1 = 8
+    ab = x[0::2] * x[1::2]
+    assert abs(ab.mean() - 1.0) <= 5.0 * np.sqrt(8.0 / ab.size)
+
+
+def test_squared_normals_range(chi2_sample):
+    assert np.all(np.isfinite(chi2_sample)) and chi2_sample.min() >= 0.0
+    assert chi2_sample.max() <= 64.0 * np.log(2.0) * (1 + 1e-6)
+
+
+class _FixedWords:
+    """Stands in for a generator whose next 64-bit words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 2**64, self.words.size, np.uint64)
+        return self.words
+
+
+def test_squared_normals_largest_variate():
+    """u = 2**-32, the smallest uniform, and C = 1 give 2 * 32 log 2, about 44.36."""
+    out = np.empty(4, dtype=np.float32)
+    _fill_squared_normals(_FixedWords([0, 2**64 - 1]), out)
+    assert out[0] == pytest.approx(64.0 * np.log(2.0), rel=1e-6)
+    assert out[1] == 0.0
+    # u = 1 gives E = 0
+    assert np.array_equal(out[2:], [0.0, 0.0])
+
+
+def test_squared_normals_flat_layout():
+    """The variate at a flat position depends only on the generator and the position."""
+    full = squared_normals(make_rng(6), 101)
+    assert full.dtype == np.float32 and full.shape == (101,)
+    rng = make_rng(6)
+    # an even first piece ends on a whole word, so the second starts the next one
+    pieces = np.concatenate([squared_normals(rng, 40), squared_normals(rng, (3, 7)).ravel()])
+    assert np.array_equal(pieces, full[:61])
+    assert np.array_equal(squared_normals(make_rng(6), (7, 9)).ravel(), full[:63])
+    assert np.array_equal(squared_normals(make_rng(6), 1), full[:1])
+    assert squared_normals(make_rng(6), (0, 5)).shape == (0, 5)
+
+
+def test_squared_normals_law_on_a_32_bit_generator():
+    """Full 64-bit words also come from MT19937, whose raw outputs have 32 bits."""
+    x = squared_normals(np.random.Generator(np.random.MT19937(3)), 1 << 16)
+    x = x.astype(np.float64)
+    for member in (x[0::2], x[1::2]):
+        assert abs(member.mean() - 1.0) <= 5.0 * np.sqrt(2.0 / member.size)
+
+
 # ------------------------------------------------------------ radii engine
 
 
@@ -133,8 +217,8 @@ def test_recentered_radii_matches_direct_norms():
     assert np.array_equal(split.head, np.arange(k))
     assert split.tail_mean == np.sum(var[k:])
     engine = recentered_radii(var, m, make_rng(21))
-    z = make_rng(21).standard_normal((m, k), dtype=np.float32)
-    head_sq = np.einsum("ij,j->i", z * z, var[:k].astype(np.float32), dtype=np.float32)
+    x = squared_normals(make_rng(21), (m, k))
+    head_sq = np.einsum("ij,j->i", x, var[:k].astype(np.float32), dtype=np.float32)
     direct = np.sqrt(head_sq.astype(np.float64) + split.tail_mean)
     assert np.array_equal(engine, direct)
 
@@ -145,9 +229,9 @@ def test_recentered_radii_without_tail_is_the_full_draw():
     m = 5000
     assert np.array_equal(head_tail_split(var, m).head, np.arange(300))
     engine = recentered_radii(var, m, make_rng(8))
-    z = make_rng(8).standard_normal((m, 300), dtype=np.float32)
+    x = squared_normals(make_rng(8), (m, 300))
     direct = np.sqrt(
-        np.einsum("ij,j->i", z * z, var.astype(np.float32), dtype=np.float32),
+        np.einsum("ij,j->i", x, var.astype(np.float32), dtype=np.float32),
         dtype=np.float64,
     )
     assert np.array_equal(engine, direct)
@@ -250,7 +334,7 @@ def test_split_quantile_matches_full_draw_on_identical_normals(spectrum, n, fami
     """Dropping the tail moves the 95% radius by under a quarter of its standard error.
 
     The full-draw reference simulates every coordinate in float64, with the
-    head coordinates on the very normals the engine draws, so the gap is the
+    head coordinates on the very variates the engine draws, so the gap is the
     effect of replacing the tail by its mean and nothing else.  That gap is
     essentially one draw of the tail's fluctuation at the rank-k draw, whose
     sd the split rule keeps below about 5% of the standard error (measured
@@ -275,15 +359,15 @@ def test_split_quantile_matches_full_draw_on_identical_normals(spectrum, n, fami
 @pytest.mark.parametrize("spectrum, n", [("volterra", 1e3), ("identity", 1e6),
                                          ("identity", 1e8)])
 def test_recentered_radii_float32_head_accuracy(spectrum, n):
-    """Squared norms are within 2e-6 relative of float64 sums on the same normals."""
+    """Squared norms are within 2e-6 relative of float64 sums on the same variates."""
     var = _posterior_variances(spectrum, n, FAM1)
     m, chunk = 10_000, 500
     split = head_tail_split(var, m)
     engine = recentered_radii(var, m, make_rng(5)) ** 2
     rng = make_rng(5)
     for start in range(0, m, chunk):
-        z = rng.standard_normal((chunk, split.head_size), dtype=np.float32)
-        exact = np.sum(var[split.head] * z.astype(np.float64) ** 2, axis=1)
+        x = squared_normals(rng, (chunk, split.head_size))
+        exact = np.sum(var[split.head] * x.astype(np.float64), axis=1)
         exact += split.tail_mean
         got = engine[start:start + chunk]
         assert np.max(np.abs(got - exact) / exact) <= 2e-6
