@@ -489,6 +489,7 @@ def _cmd_eb_fit(cfg: dict):
         "variant": cfg["variant"],
         "value": fit.value,
         "log_likelihood": fit.log_likelihood,
+        "at_bound": fit.at_bound,
         "search": list(search),
         "n": cfg["n"],
         "i_max": cfg["imax"],

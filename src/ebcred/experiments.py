@@ -157,15 +157,17 @@ def _fit_family(
     config: ExperimentConfig,
     obs: ObservationSequence | None,
     spectrum: OperatorSpectrum,
-) -> PriorFamily:
-    """The pinned prior, or under empirical Bayes the prior fitted to obs."""
+) -> tuple[PriorFamily, bool]:
+    """The pinned prior, or under empirical Bayes the prior fitted to obs,
+    and whether the fit landed on its search bound (never for a pinned prior)."""
     if config.fixed_hyperparameter is not None:
-        return PriorFamily.with_free(
+        family = PriorFamily.with_free(
             config.prior_variant,
             config.fixed_hyperparameter,
             alpha=config.scaled_alpha,
             lambda_exponent=config.lambda_exponent,
         )
+        return family, False
     fit = eb_fit(
         obs,
         spectrum,
@@ -174,7 +176,7 @@ def _fit_family(
         alpha=config.scaled_alpha,
         lambda_exponent=config.lambda_exponent,
     )
-    return fit.family
+    return fit.family, fit.at_bound
 
 
 def _posterior(
@@ -183,11 +185,12 @@ def _posterior(
     truth: CoefficientSequence,
     n: float,
     *key: int,
-) -> PosteriorSpec:
-    """Simulate data on the key's _DATA substream, fit or pin the prior, form the posterior."""
+) -> tuple[PosteriorSpec, bool]:
+    """Simulate data on the key's _DATA substream, fit or pin the prior, form the
+    posterior; also return whether an EB fit landed on its search bound."""
     obs = simulate_data(truth, spectrum, n, _stream(config, *key, _DATA))
-    family = _fit_family(config, obs, spectrum)
-    return posterior_spec(obs, spectrum, family)
+    family, at_bound = _fit_family(config, obs, spectrum)
+    return posterior_spec(obs, spectrum, family), at_bound
 
 
 def _precise_radius(
@@ -263,6 +266,7 @@ class FpFnRow:
     fn: int
     threshold_builtin: float
     radius_precise: float
+    at_bound: bool  # the EB fit landed on its search bound; False for a pinned prior
 
 
 @dataclass(frozen=True)
@@ -275,6 +279,7 @@ class FpFnCell:
     mean_fn_all: float
     mean_fn_conditional: float
     occurrence_fn_pct: float
+    at_bound_count: int  # rows of the cell whose EB fit landed on its search bound
 
 
 @dataclass
@@ -300,7 +305,7 @@ def _fixed_posterior(
     config: ExperimentConfig, spectrum: OperatorSpectrum, n: float
 ) -> PosteriorSpec:
     """Posterior for a pinned hyperparameter; variances are data-free."""
-    family = _fit_family(config, None, spectrum)
+    family, _ = _fit_family(config, None, spectrum)
     var = posterior_variances(family, spectrum.kappa, n)
     return PosteriorSpec(mean=np.zeros(config.i_max), var=var, family=family)
 
@@ -329,7 +334,7 @@ def fpfn_repetition(
     shared_precise: float | None,
 ) -> FpFnRow:
     """One repetition of one (n, N) cell; all state derives from the indices."""
-    post = _posterior(config, spectrum, truth, n, n_idx, N_idx, rep)
+    post, at_bound = _posterior(config, spectrum, truth, n, n_idx, N_idx, rep)
     draw_radii = recentered_radii(
         post.var, N, _stream(config, n_idx, N_idx, rep, _DRAWS)
     )
@@ -346,14 +351,16 @@ def fpfn_repetition(
         fn=fn,
         threshold_builtin=threshold,
         radius_precise=precise,
+        at_bound=at_bound,
     )
 
 
 def _fpfn_cells(rows: list[FpFnRow]) -> list[FpFnCell]:
     cells = []
     for n, N in dict.fromkeys((row.n, row.N) for row in rows):
-        fp = np.array([r.fp for r in rows if (r.n, r.N) == (n, N)], dtype=np.float64)
-        fn = np.array([r.fn for r in rows if (r.n, r.N) == (n, N)], dtype=np.float64)
+        cell = [r for r in rows if (r.n, r.N) == (n, N)]
+        fp = np.array([r.fp for r in cell], dtype=np.float64)
+        fn = np.array([r.fn for r in cell], dtype=np.float64)
         cells.append(
             FpFnCell(
                 n=n,
@@ -364,6 +371,7 @@ def _fpfn_cells(rows: list[FpFnRow]) -> list[FpFnCell]:
                 mean_fn_all=float(fn.mean()),
                 mean_fn_conditional=float(fn[fn > 0].mean()) if np.any(fn > 0) else 0.0,
                 occurrence_fn_pct=float(100.0 * np.mean(fn > 0)),
+                at_bound_count=sum(r.at_bound for r in cell),
             )
         )
     return cells
@@ -429,7 +437,7 @@ def coverage_experiment(config: ExperimentConfig) -> CoverageReport:
     rows = []
     for n_idx, n in enumerate(config.n_values):
         for rep in range(config.repetitions):
-            post = _posterior(config, spectrum, truth, n, n_idx, rep)
+            post, _ = _posterior(config, spectrum, truth, n, n_idx, rep)
             est = _precise_radius(config, post, n_idx, rep)
             ball = build_credible_ball(post, est, config.blowup, config.gamma)
             rows.append(
@@ -489,7 +497,7 @@ def rate_experiment(config: ExperimentConfig) -> RateReport:
             proxy_mass.append(float(np.sum(_fixed_posterior(config, spectrum, n).var)))
             radii.append(_shared_precise_radius(config, spectrum, n, n_idx))
         for rep in range(config.repetitions):
-            post = _posterior(config, spectrum, truth, n, n_idx, rep)
+            post, _ = _posterior(config, spectrum, truth, n, n_idx, rep)
             risks.append(float(np.linalg.norm(post.mean - truth.values)))
             if not fixed:
                 radii.append(_precise_radius(config, post, n_idx, rep).value)
@@ -548,7 +556,7 @@ def export_curves(config: ExperimentConfig, which: str = "both") -> CurveSet:
     xs = uniform_grid(config.grid_points)
     curves = []
     for n_idx, n in enumerate(config.n_values):
-        post = _posterior(config, spectrum, truth, n, n_idx)
+        post, _ = _posterior(config, spectrum, truth, n, n_idx)
         curves.append(Curve("truth", n, 0, reconstruct(truth, xs)))
         mean_curve = reconstruct(CoefficientSequence(post.mean), xs)
         curves.append(Curve("mean", n, 0, mean_curve))

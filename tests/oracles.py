@@ -1,7 +1,8 @@
 """Independent reference implementations the closed forms are tested against.
 
 Nothing here reuses the package's posterior algebra: moments come from
-importance sampling, marginal densities from adaptive quadrature, inner
+importance sampling, marginal densities from adaptive quadrature, EB fits
+from a search whose every evaluation sums all coordinates, inner
 products from composite Simpson rules, curve values from the dense cosine
 sum, radius quantiles from a normal approximation to the squared norm,
 recentred radii from full draws of every coordinate in float64, and the
@@ -61,6 +62,57 @@ def marginal_log_likelihood_quad(y, kappa, n, prior_var):
         )
         total += np.log(value)
     return float(total)
+
+
+def eb_fit_full_sum(y, kappa, n, variant, search_interval, *, grid_points=200,
+                    tol=1e-4, alpha=None, lambda_exponent=2.0):
+    """(value, log likelihood) of the EB search, every evaluation a full sum.
+
+    The same uniform grid, golden-section refinement and tie rules as
+    ebcred.eb_fit, with the prior variances written out per variant and the
+    marginal log likelihood summed over every coordinate at every point.
+    """
+    i = np.arange(1, len(y) + 1, dtype=np.float64)
+    k2 = np.asarray(kappa, dtype=np.float64) ** 2
+    y2 = np.asarray(y, dtype=np.float64) ** 2
+
+    def objective(h):
+        h = float(h)
+        if variant == "power_law":
+            v = i ** (-1.0 - 2.0 * h)
+        elif variant == "scaled_power_law":
+            v = h**2 * i ** (-1.0 - 2.0 * alpha)
+        else:
+            with np.errstate(under="ignore"):
+                v = np.exp(-h * i**lambda_exponent)
+        marg = k2 * v + 1.0 / n
+        return float(-0.5 * np.sum(np.log(2.0 * np.pi * marg) + y2 / marg))
+
+    lo, hi = search_interval
+    grid = np.linspace(lo, hi, grid_points)
+    grid_ll = np.array([objective(h) for h in grid])
+    best = int(np.argmax(grid_ll))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, grid_points - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc > fd or (fc == fd and c < d):
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    refined = c if fc >= fd else d
+    refined_ll = max(fc, fd)
+    value, ll = grid[best], grid_ll[best]
+    if refined_ll > ll or (refined_ll == ll and refined < value):
+        value, ll = refined, refined_ll
+    return float(value), float(ll)
 
 
 def simpson_inner_product(f_values, g_values, xs):

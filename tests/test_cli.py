@@ -1,5 +1,6 @@
 """Command line interface: config resolution, outputs, exit codes, manifest."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -86,7 +87,15 @@ def test_eb_fit_noiseless_zero_truth_saturates(capsys, tmp_path):
          "--n", "1000", "--outdir", str(tmp_path)],
     )
     assert man["result"]["value"] == 10.0
-    assert (tmp_path / "eb_fit.json").exists()
+    assert man["result"]["at_bound"] is True
+    assert json.loads((tmp_path / "eb_fit.json").read_text()) == man["result"]
+
+
+def test_eb_fit_inside_the_interval_is_not_at_bound(capsys, tmp_path):
+    man = run_ok(capsys, ["eb-fit", "--n", "1e6", "--imax", "2000", "--seed", "1",
+                          "--outdir", str(tmp_path)])
+    assert 0.01 < man["result"]["value"] < 10.0
+    assert man["result"]["at_bound"] is False
 
 
 def test_eb_fit_search_override(capsys, tmp_path):
@@ -111,8 +120,10 @@ FPFN_ARGS = [
 def test_fpfn_outputs_and_schema(capsys, tmp_path):
     man = run_ok(capsys, FPFN_ARGS + ["--outdir", str(tmp_path)])
     csv_lines = (tmp_path / "fpfn.csv").read_text().splitlines()
-    assert csv_lines[0] == "n,N,rep,fp,fn,threshold_builtin,radius_precise"
+    assert csv_lines[0] == "n,N,rep,fp,fn,threshold_builtin,radius_precise,at_bound"
     assert len(csv_lines) == 1 + 6  # 2 draw counts x 3 reps
+    # a pinned prior is never on a search bound
+    assert {line.rsplit(",", 1)[1] for line in csv_lines[1:]} == {"0"}
     keys = [tuple(line.split(",")[:3]) for line in csv_lines[1:]]
     assert keys == sorted(keys)
     cells = json.loads((tmp_path / "fpfn_cells.json").read_text())["cells"]
@@ -121,6 +132,19 @@ def test_fpfn_outputs_and_schema(capsys, tmp_path):
     for cell in cells:
         assert 0.0 <= cell["occurrence_fp_pct"] <= 100.0
         assert 0.0 <= cell["occurrence_fn_pct"] <= 100.0
+        assert cell["at_bound_count"] == 0
+
+
+@pytest.mark.filterwarnings("ignore::ebcred.TruncationWarning")
+def test_fpfn_eb_rows_flag_fits_on_the_search_bound(capsys, tmp_path):
+    # at this seed the second of four EB fits lands on a bound
+    run_ok(capsys, ["fpfn", "--n", "1000", "--draws", "100", "--reps", "4", "--eb",
+                    "--imax", "300", "--m", "2000", "--seed", "0", "--outdir", str(tmp_path)])
+    with open(tmp_path / "fpfn.csv", newline="") as fh:
+        flags = [row["at_bound"] for row in csv.DictReader(fh)]
+    assert flags == ["0", "1", "0", "0"]
+    cells = json.loads((tmp_path / "fpfn_cells.json").read_text())["cells"]
+    assert [cell["at_bound_count"] for cell in cells] == [1]
 
 
 def test_fpfn_reruns_are_byte_identical(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ebcred import (
+    CoefficientSequence,
     ObservationSequence,
     OperatorSpectrum,
     PriorFamily,
@@ -19,6 +20,7 @@ from ebcred import (
     eb_fit,
     identity_spectrum,
     make_rng,
+    make_truth,
     marginal_log_likelihood,
     posterior_spec,
     prior_variance,
@@ -109,6 +111,26 @@ def test_variances_method_matches_prior_variance():
     a = fam.variances(12)
     b = prior_variance(fam, np.arange(1, 13))
     assert np.array_equal(a, b)
+
+
+@given(
+    alpha=st.floats(0.01, 10.0),
+    tau=st.floats(0.01, 100.0),
+    t=st.floats(0.01, 10.0),
+    q=st.floats(0.5, 3.0),
+    i_max=st.integers(1, 3000),
+)
+@settings(max_examples=50, deadline=None)
+def test_variances_are_the_written_out_laws_bit_for_bit(alpha, tau, t, q, i_max):
+    i = np.arange(1, i_max + 1, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        expected = {
+            PriorFamily.power_law(alpha): i ** (-1.0 - 2.0 * alpha),
+            PriorFamily.scaled_power_law(alpha, tau): tau**2 * i ** (-1.0 - 2.0 * alpha),
+            PriorFamily.exponential(t, q): np.exp(-t * i**q),
+        }
+    for family, v in expected.items():
+        assert family.variances(i_max).tobytes() == v.tobytes()
 
 
 @given(alpha=st.floats(0.05, 5.0), i_max=st.integers(2, 60))
@@ -243,6 +265,22 @@ def test_eb_fit_noiseless_zero_data_hits_upper_bound():
     fit = eb_fit(zero_obs(100, 1000.0), spec, variant="power_law")
     assert fit.value == 10.0
     assert fit.family.variant == "power_law"
+    assert fit.at_bound
+
+
+def test_eb_fit_flags_only_fits_on_the_search_bound():
+    # white noise of variance 10/n asks for a flat, large prior: alpha -> lo
+    spec = volterra_spectrum(300)
+    rng = make_rng(4)
+    loud = ObservationSequence(rng.standard_normal(300) / 10.0, 1000.0)
+    fit = eb_fit(loud, spec, variant="power_law")
+    assert fit.value <= 0.01 + 1e-4
+    assert fit.at_bound
+    # data simulated under alpha = 1 fit inside the interval
+    truth = draw_gaussian_sequence(np.zeros(300), FAM1.variances(300), rng)
+    fit = eb_fit(simulate_data(truth, spec, 1e4, rng), spec, variant="power_law")
+    assert 0.1 < fit.value < 5.0
+    assert not fit.at_bound
 
 
 def test_eb_fit_never_below_any_evaluated_point():
@@ -303,6 +341,62 @@ def test_eb_fit_rejects_bad_search_setup():
         eb_fit(obs, spec, search_interval=(0.01, float("inf")))
     with pytest.raises(ValueError):
         eb_fit(obs, spec, grid_points=2)
+
+
+def _shuffled_spectrum(i_max):
+    # kappa_i = ((i - 1/2) pi)**-3 spans 22 decades at i_max = 4097; shuffled,
+    # a small kappa at a head length can hide a large one past it
+    kappa = volterra_spectrum(i_max).kappa ** 3
+    np.random.default_rng(i_max).shuffle(kappa)
+    return OperatorSpectrum(kappa)
+
+
+EB_SPECTRA = {"volterra": volterra_spectrum, "identity": identity_spectrum,
+              "shuffled": _shuffled_spectrum}
+# search intervals as the CLI's, plus an exponential prior whose variances
+# underflow to 0 past i = 27 at every t of the interval
+EB_SEARCHES = [("power_law", (0.01, 10.0)), ("scaled_power_law", (0.01, 100.0)),
+               ("exponential", (0.01, 10.0)), ("exponential", (1.0, 2.0))]
+
+
+@pytest.mark.parametrize("label", EB_SPECTRA)
+def test_eb_fit_grid_is_the_marginal_likelihood(label):
+    """Every grid entry equals marginal_log_likelihood at its point within 1e-13.
+
+    The head-and-rest objective differs from the full sum only in the
+    order of summation; large hyperparameters make the head short.
+    """
+    worst = 0.0
+    for i_max in (1, 7, 16, 17, 4097):
+        spec = EB_SPECTRA[label](i_max)
+        theta = np.arange(1, i_max + 1) ** -1.5
+        for n in (10.0, 1e6, 1e12):
+            noisy = simulate_data(CoefficientSequence(theta), spec, n, make_rng(i_max))
+            for obs in (noisy, zero_obs(i_max, n)):
+                for variant, search in EB_SEARCHES:
+                    fit = eb_fit(obs, spec, variant, search, grid_points=9, alpha=0.7)
+                    for h, ll in zip(fit.grid, fit.grid_log_likelihood):
+                        family = PriorFamily.with_free(variant, h, alpha=0.7)
+                        ref = marginal_log_likelihood(obs, spec, family)
+                        worst = max(worst, abs(ll - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("variant, search", EB_SEARCHES[:3])
+def test_eb_fit_matches_the_full_sum_fit(variant, search):
+    """The fit agrees with the full-sum reference fit over a small seed grid."""
+    i_max, tol = 10_000, 1e-4
+    spec = volterra_spectrum(i_max)
+    truth = make_truth("power", {"beta": 1.0}, i_max)
+    for seed in range(2):
+        for n in (1e3, 1e6):
+            obs = simulate_data(truth, spec, n, make_rng(seed))
+            fit = eb_fit(obs, spec, variant, search, tol=tol, alpha=1.0)
+            value, ll = oracles.eb_fit_full_sum(
+                obs.y, spec.kappa, n, variant, search, tol=tol, alpha=1.0
+            )
+            assert abs(fit.value - value) <= tol
+            assert abs(fit.log_likelihood - ll) <= 1e-12 * abs(ll)
 
 
 # Max |alpha_hat - 1| seen over seeds 0..9 when this was calibrated; the
